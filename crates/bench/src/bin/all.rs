@@ -1,8 +1,14 @@
 //! Regenerate every table and figure in sequence (the EXPERIMENTS.md
-//! source of truth). Set `SMT_AVF_SCALE=paper` for the longest runs.
+//! source of truth), or one named experiment: `all fig1`, `all table2`,
+//! ... (see `smt_avf_bench::EXPERIMENTS`). Set `SMT_AVF_SCALE=paper` for
+//! the longest runs.
 use smt_avf::experiments as ex;
 
 fn main() {
+    if let Some(name) = std::env::args().nth(1) {
+        smt_avf_bench::run_experiment(&name);
+        return;
+    }
     let scale = smt_avf_bench::scale_from_env();
     let t0 = std::time::Instant::now();
     println!("{}", ex::table1());

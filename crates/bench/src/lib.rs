@@ -1,14 +1,14 @@
 #![warn(missing_docs)]
 //! # smt-avf-bench — benchmark harness for the paper's tables and figures
 //!
-//! One binary per experiment (`cargo run --release -p smt-avf-bench --bin
-//! fig1`, ..., `--bin all`) regenerating the corresponding table or figure
-//! of the paper, and one bench target per experiment measuring its
-//! regeneration cost (plus the ablation benches DESIGN.md calls out). The
+//! One binary, `all`, regenerating every table and figure of the paper
+//! (`cargo run --release -p smt-avf-bench --bin all`) or one named
+//! experiment (`--bin all -- fig1`), and one bench target per experiment
+//! measuring its regeneration cost (plus the ablation benches DESIGN.md calls out). The
 //! bench targets use the dependency-free [`timing`] harness so the
 //! workspace builds fully offline.
 //!
-//! Binaries honor the `SMT_AVF_SCALE` environment variable:
+//! The binary honors the `SMT_AVF_SCALE` environment variable:
 //! `quick` | `default` (the default) | `paper` (longest; closest to the
 //! paper's 25M-instructions-per-thread methodology, scaled down ~100×).
 
@@ -38,22 +38,22 @@ pub fn bench_scale() -> ExperimentScale {
     }
 }
 
-/// One named experiment: a declarative row binding a binary name to the
+/// One named experiment: a declarative row binding a name to the
 /// experiment function it runs, with the output normalized to a list of
-/// rendered blocks. Every `fig*`/table binary is one [`run_experiment`]
-/// call against this registry instead of hand-rolled main-fn boilerplate.
+/// rendered blocks. `all <name>` is one [`run_experiment`] call against
+/// this registry.
 pub struct Experiment {
-    /// Registry/binary name (`fig1`, `table2`, `characterize`, ...).
+    /// Registry name (`fig1`, `table2`, `characterize`, ...).
     pub name: &'static str,
-    /// One-line description, mirroring the binary's doc comment.
+    /// One-line description.
     pub about: &'static str,
     /// Run at `scale`, returning the rendered tables in print order.
     pub run: fn(ExperimentScale) -> Result<Vec<String>, RunError>,
 }
 
-/// Every named experiment, in the paper's presentation order. (`all` is
-/// not listed: it shares one policy sweep across Figures 6–8 and so has a
-/// custom driver.)
+/// Every named experiment, in the paper's presentation order. (`all`
+/// without a name does not walk this list: it shares one policy sweep
+/// across Figures 6–8 and so has a custom driver.)
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table1",
@@ -148,10 +148,11 @@ pub fn experiment(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// The whole body of a `fig*`/table binary: resolve the scale from the
-/// environment, run the named experiment, print each rendered block.
+/// The whole of `all <name>` (e.g. `cargo run --release -p smt-avf-bench
+/// --bin all -- fig1`): resolve the scale from the environment, run the
+/// named experiment, print each rendered block.
 ///
-/// Every registry binary additionally honors the observability knobs:
+/// It additionally honors the observability knobs:
 ///
 /// * `SMT_AVF_TRACE_OUT=trace.json` — after the experiment, run the trace
 ///   workload once with pipeline tracing and write Chrome Trace Event JSON
@@ -163,8 +164,7 @@ pub fn experiment(name: &str) -> Option<&'static Experiment> {
 ///   (default `4T-MIX-A`).
 ///
 /// # Panics
-/// Panics on an unknown name or a failed experiment, which is exactly the
-/// `.expect("experiment failed")` the binaries used to hand-roll.
+/// Panics on an unknown name or a failed experiment.
 pub fn run_experiment(name: &str) {
     let e = experiment(name).unwrap_or_else(|| panic!("unknown experiment: {name}"));
     for block in (e.run)(scale_from_env()).expect("experiment failed") {

@@ -61,8 +61,12 @@ pub mod lsq {
 
 /// Functional-unit pipeline latch layout.
 pub mod fu {
-    /// Two 64-bit operand latches plus control per FU stage.
-    pub const ENTRY: u64 = 2 * 64 + 16;
+    /// Two 64-bit operand latches.
+    pub const OPERANDS: u64 = 2 * 64;
+    /// Op-select and stage-valid control bits.
+    pub const CTRL: u64 = 16;
+    /// Total latch width.
+    pub const ENTRY: u64 = OPERANDS + CTRL;
 }
 
 /// Physical register width.
@@ -76,8 +80,16 @@ pub mod dl1 {
     /// Data array: line size is configuration-dependent; this is the width
     /// of the per-word tracking granule (8 bytes).
     pub const WORD: u64 = 64;
-    /// Tag array: address tag + valid + dirty + replacement state.
-    pub const TAG_ENTRY: u64 = 20 + 1 + 1 + 2;
+    /// Address-tag field of a tag entry.
+    pub const ADDR_TAG: u64 = 20;
+    /// Valid bit.
+    pub const VALID: u64 = 1;
+    /// Dirty bit.
+    pub const DIRTY: u64 = 1;
+    /// Replacement (LRU) state.
+    pub const LRU: u64 = 2;
+    /// Tag-array entry: address tag | valid | dirty | replacement state.
+    pub const TAG_ENTRY: u64 = ADDR_TAG + VALID + DIRTY + LRU;
 }
 
 /// TLB entry layout.

@@ -52,7 +52,6 @@ pub mod compare;
 pub mod engine;
 pub mod fit;
 pub mod metrics;
-pub mod phase;
 pub mod report;
 pub mod structure;
 pub mod telemetry;
@@ -61,7 +60,6 @@ pub use classify::{lifecycle_ace_bits, DeallocKind};
 pub use compare::{compare, render, wilson_interval, ComparisonRow, SfiPoint};
 pub use engine::{AvfEngine, ResidencyTracker};
 pub use fit::{fit_estimate, overall_avf, FitEstimate};
-pub use phase::{PhasePoint, PhaseRecorder};
 pub use report::{AvfReport, StructureAvf};
 pub use structure::StructureId;
 pub use telemetry::{window_ace_sum, AvfWindow, TelemetryRecorder};

@@ -1,7 +1,8 @@
 //! Time-resolved AVF telemetry with exact window accounting.
 //!
-//! Where [`crate::phase::PhaseRecorder`] reports per-interval AVFs as
-//! floats (good for plotting, lossy for auditing), the
+//! Program AVF is not stationary — it moves with program phases, and that
+//! phase behavior is itself predictable (Fu, Poe, Li, Fortes, MASCOTS
+//! 2006, the companion work the paper builds on). The
 //! [`TelemetryRecorder`] keeps the **raw banked deltas** of every window as
 //! `u128` integers. That makes the central invariant checkable bit-exactly:
 //!
@@ -38,8 +39,10 @@ pub struct AvfWindow {
     pub ace_bit_cycles: Vec<u128>,
     /// Occupied-bit-cycles banked during this window, per structure.
     pub occupied_bit_cycles: Vec<u128>,
-    /// Per-structure AVF over this window (derived; can exceed 1.0 when
-    /// long residencies end inside a short window — see [`crate::phase`]).
+    /// Per-structure AVF over this window (derived). Classification is
+    /// banked when an entry *ends* its residency, so a long-lived entry
+    /// counts in the window where it ends: phase edges smear by about one
+    /// residency time, and a short window's value can exceed 1.0.
     pub avf: Vec<f64>,
     /// Per-structure occupancy fraction over this window (derived).
     pub occupancy: Vec<f64>,

@@ -56,7 +56,7 @@
 use avf_core::{SfiPoint, StructureId};
 use sim_model::rng::splitmix64;
 use sim_model::{MachineConfig, SimRng};
-pub use sim_pipeline::{Fault, FaultTarget, Landing, RetiredInst};
+pub use sim_pipeline::{target_entries, Fault, FaultTarget, Landing, RetiredInst};
 use sim_pipeline::{FaultProbe, LaneBatch, SimBudget, SmtCore};
 use sim_workload::InstSource;
 
@@ -123,24 +123,6 @@ pub fn target_structure(t: FaultTarget) -> StructureId {
         FaultTarget::Dl1Tag => StructureId::Dl1Tag,
         FaultTarget::Dtlb => StructureId::Dtlb,
         FaultTarget::Itlb => StructureId::Itlb,
-    }
-}
-
-/// Physical entry count of `target` on machine `cfg` (the entry sampling
-/// space — occupied or not).
-pub fn target_entries(t: FaultTarget, cfg: &MachineConfig) -> u64 {
-    match t {
-        FaultTarget::Iq => cfg.iq_entries as u64,
-        FaultTarget::Rob => cfg.contexts as u64 * cfg.rob_entries_per_thread as u64,
-        FaultTarget::LsqTag => cfg.contexts as u64 * cfg.lsq_entries_per_thread as u64,
-        FaultTarget::RegFile => cfg.int_phys_regs as u64 + cfg.fp_phys_regs as u64,
-        FaultTarget::Fu => {
-            let f = &cfg.fus;
-            (f.int_alu + f.int_mul_div + f.load_store + f.fp_alu + f.fp_mul_div) as u64
-        }
-        FaultTarget::Dl1Data | FaultTarget::Dl1Tag => cfg.dl1.num_lines(),
-        FaultTarget::Dtlb => cfg.dtlb.entries as u64,
-        FaultTarget::Itlb => cfg.itlb.entries as u64,
     }
 }
 

@@ -120,7 +120,7 @@ pub enum CacheEvent {
     },
 }
 
-/// Effect of an injected tag-array fault (see [`Cache::inject_tag`]).
+/// Effect of a tag-array strike (see [`Cache::decode_tag`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagInject {
     /// The struck line was invalid: nothing to corrupt.
@@ -549,111 +549,69 @@ impl Cache {
     // Fault injection
     // -----------------------------------------------------------------
 
-    /// Number of physical lines (valid or not), the fault-injection entry
-    /// space.
-    pub fn total_lines(&self) -> u64 {
-        self.cfg.num_lines()
+    /// Decode a strike on data bit `bit` of physical line `line_idx`: the
+    /// word it poisons, or `None` when the line is invalid (or out of
+    /// range) and there is nothing to corrupt.
+    pub fn decode_data(&self, line_idx: u64, bit: u64) -> Option<usize> {
+        let line = self.lines.get(line_idx as usize)?;
+        line.valid
+            .then_some((bit / budgets::dl1::WORD) as usize % self.words_per_line)
     }
 
-    /// Tracked words per line.
-    pub fn words_per_line(&self) -> usize {
-        self.words_per_line
+    /// Poison word `word` of physical line `line` (a decoded
+    /// [`Cache::decode_data`] strike): it now holds a corrupt value.
+    pub fn poison_word(&mut self, line: u32, word: usize) {
+        let wbase = self.word_base(line as usize);
+        self.words[wbase + word].poisoned = true;
     }
 
-    fn line_at(&mut self, line_idx: u64) -> &mut Line {
-        // The campaign samples the flat physical line index directly.
-        &mut self.lines[line_idx as usize]
-    }
-
-    fn line_base(&self, line_idx: u64) -> u64 {
-        let assoc = self.cfg.assoc as u64;
-        let set = line_idx / assoc;
-        let index_bits = self.index_mask.count_ones();
-        let tag = self.lines[line_idx as usize].tag;
-        ((tag << index_bits) | set) << self.offset_bits
-    }
-
-    /// Flip a bit in data word `word` of physical line `line_idx`: the word
-    /// now holds a corrupt value. Returns `false` (nothing to corrupt) if
-    /// the line is invalid.
-    pub fn inject_data_word(&mut self, line_idx: u64, word: usize) -> bool {
-        if !self.lines[line_idx as usize].valid {
-            return false;
-        }
-        let wbase = self.word_base(line_idx as usize);
-        let w = word.min(self.words_per_line - 1);
-        self.words[wbase + w].poisoned = true;
-        true
-    }
-
-    /// Flip tag-array bit `bit` of physical line `line_idx`.
-    pub fn inject_tag(&mut self, line_idx: u64, bit: u64) -> TagInject {
-        let base = {
-            let line = self.line_at(line_idx);
-            if !line.valid {
-                return TagInject::Empty;
-            }
-            if bit >= 22 {
-                // Replacement-state bits: performance-only.
-                return TagInject::Benign;
-            }
-            if bit == 21 && !line.dirty {
-                // Clean line spuriously marked dirty: the eventual
-                // write-back rewrites the identical data.
-                self.line_at(line_idx).dirty = true;
-                return TagInject::Benign;
-            }
-            self.line_base(line_idx)
+    /// Decode a strike on tag-array bit `bit` (taken modulo
+    /// `budgets::dl1::TAG_ENTRY`) of physical line `line_idx`, without
+    /// mutating anything.
+    ///
+    /// An address-tag or valid bit, or the dirty bit of a dirty line, means
+    /// the line can no longer be found (or its write-back is lost or
+    /// misdirected): [`Cache::invalidate_line`] applies it. Replacement
+    /// bits are performance-only. Setting a clean line's dirty bit only
+    /// makes the eventual write-back rewrite identical data; it is
+    /// decoded `Benign` and never applied, which no trial can observe,
+    /// since a `Benign` landing is classified Masked without stepping the
+    /// core again.
+    pub fn decode_tag(&self, line_idx: u64, bit: u64) -> TagInject {
+        use budgets::dl1::{ADDR_TAG, DIRTY, TAG_ENTRY, VALID};
+        let dirty_bit = ADDR_TAG + VALID;
+        let Some(line) = self.lines.get(line_idx as usize).filter(|l| l.valid) else {
+            return TagInject::Empty;
         };
-        // Address-tag, valid or (for a dirty line) dirty bit: the line can no
-        // longer be found (or its write-back is lost / misdirected). Model as
-        // an invalidation; a dirty victim's words lose their only good copy.
-        let words_per_line = self.words_per_line;
-        let wbase = self.word_base(line_idx as usize);
-        let line = self.line_at(line_idx);
-        let was_dirty = line.dirty;
-        line.valid = false;
-        line.dirty = false;
-        for ws in &mut self.words[wbase..wbase + words_per_line] {
+        let b = bit % TAG_ENTRY;
+        if b >= dirty_bit + DIRTY || (b == dirty_bit && !line.dirty) {
+            TagInject::Benign
+        } else if line.dirty {
+            TagInject::DirtyLost
+        } else {
+            TagInject::CleanInvalidate
+        }
+    }
+
+    /// Invalidate physical line `line` (a decoded tag strike). A dirty
+    /// line's words lose their only good copy: their addresses go to the
+    /// poison spill.
+    pub fn invalidate_line(&mut self, line: u32) {
+        let li = line as usize;
+        let assoc = self.cfg.assoc as u64;
+        let index_bits = self.index_mask.count_ones();
+        let base = ((self.lines[li].tag << index_bits) | (line as u64 / assoc)) << self.offset_bits;
+        let was_dirty = self.lines[li].dirty;
+        self.lines[li].valid = false;
+        self.lines[li].dirty = false;
+        let wbase = self.word_base(li);
+        for ws in &mut self.words[wbase..wbase + self.words_per_line] {
             ws.poisoned = false;
         }
         if was_dirty {
-            for w in 0..words_per_line {
+            for w in 0..self.words_per_line {
                 self.poison_spill.push(base + 8 * w as u64);
             }
-            TagInject::DirtyLost
-        } else {
-            TagInject::CleanInvalidate
-        }
-    }
-
-    /// Read-only mirror of [`Cache::inject_data_word`]: the clamped word
-    /// index the strike would poison, or `None` when the line is invalid.
-    pub fn probe_data_word(&self, line_idx: u64, word: usize) -> Option<usize> {
-        if !self.lines[line_idx as usize].valid {
-            return None;
-        }
-        Some(word.min(self.words_per_line - 1))
-    }
-
-    /// Read-only mirror of [`Cache::inject_tag`], branch for branch.
-    ///
-    /// The one mutation it elides — bit 21 on a clean line sets the dirty
-    /// bit before returning `Benign` — ends the scalar trial immediately
-    /// (a `Benign` landing is classified without running the machine), so
-    /// skipping it cannot change any observable trial result.
-    pub fn probe_tag(&self, line_idx: u64, bit: u64) -> TagInject {
-        let line = &self.lines[line_idx as usize];
-        if !line.valid {
-            return TagInject::Empty;
-        }
-        if bit >= 22 || (bit == 21 && !line.dirty) {
-            return TagInject::Benign;
-        }
-        if line.dirty {
-            TagInject::DirtyLost
-        } else {
-            TagInject::CleanInvalidate
         }
     }
 

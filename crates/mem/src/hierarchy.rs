@@ -14,7 +14,7 @@
 //! absolute cycle stamps at eviction/finalize time, which makes them
 //! skip-invariant by construction.
 
-use crate::cache::{AccessKind, Cache, CacheEvent, CacheStats, TagInject};
+use crate::cache::{AccessKind, Cache, CacheEvent, CacheStats};
 use crate::tlb::{Tlb, TlbStats};
 use avf_core::{AvfEngine, StructureId};
 use sim_model::{MachineConfig, ThreadId};
@@ -268,59 +268,42 @@ impl MemoryHierarchy {
     // Fault injection
     // -----------------------------------------------------------------
 
-    /// Physical DL1 lines (the data/tag fault-injection entry space).
-    pub fn dl1_total_lines(&self) -> u64 {
-        self.dl1.total_lines()
+    /// The DL1, read-only: fault strikes are decoded against it with
+    /// [`Cache::decode_data`] / [`Cache::decode_tag`].
+    pub fn dl1(&self) -> &Cache {
+        &self.dl1
     }
 
-    /// Tracked 64-bit words per DL1 line.
-    pub fn dl1_words_per_line(&self) -> usize {
-        self.dl1.words_per_line()
+    /// The instruction TLB (`itlb`) or data TLB, read-only: fault strikes
+    /// are decoded against it with [`Tlb::decode_entry`].
+    pub fn tlb(&self, itlb: bool) -> &Tlb {
+        if itlb {
+            &self.itlb
+        } else {
+            &self.dtlb
+        }
     }
 
-    /// Poison one DL1 data word; `false` if the struck line was invalid.
-    pub fn inject_dl1_data(&mut self, line_idx: u64, word: usize) -> bool {
-        self.dl1.inject_data_word(line_idx, word)
+    /// Poison one DL1 data word (see [`Cache::poison_word`]).
+    pub fn poison_dl1_word(&mut self, line: u32, word: usize) {
+        self.dl1.poison_word(line, word);
     }
 
-    /// Strike bit `bit` of a DL1 tag entry (see [`Cache::inject_tag`]).
-    pub fn inject_dl1_tag(&mut self, line_idx: u64, bit: u64) -> TagInject {
-        let r = self.dl1.inject_tag(line_idx, bit);
+    /// Invalidate one DL1 line (see [`Cache::invalidate_line`]); a dirty
+    /// line's words join the stale-memory set.
+    pub fn invalidate_dl1_line(&mut self, line: u32) {
+        self.dl1.invalidate_line(line);
         self.stale_words.extend(self.dl1.drain_poison_spill());
-        r
     }
 
-    /// Invalidate a DTLB entry; `false` if it was already invalid.
-    pub fn inject_dtlb(&mut self, entry_idx: u64) -> bool {
-        self.dtlb.inject_entry(entry_idx)
-    }
-
-    /// Invalidate an ITLB entry; `false` if it was already invalid.
-    pub fn inject_itlb(&mut self, entry_idx: u64) -> bool {
-        self.itlb.inject_entry(entry_idx)
-    }
-
-    /// Read-only mirror of [`MemoryHierarchy::inject_dl1_data`]: the
-    /// clamped word the strike would poison, or `None` if the line is
-    /// invalid.
-    pub fn probe_dl1_data(&self, line_idx: u64, word: usize) -> Option<usize> {
-        self.dl1.probe_data_word(line_idx, word)
-    }
-
-    /// Read-only mirror of [`MemoryHierarchy::inject_dl1_tag`].
-    pub fn probe_dl1_tag(&self, line_idx: u64, bit: u64) -> TagInject {
-        self.dl1.probe_tag(line_idx, bit)
-    }
-
-    /// Read-only mirror of [`MemoryHierarchy::inject_dtlb`]: the flat
-    /// entry the strike would invalidate, or `None` if already invalid.
-    pub fn probe_dtlb(&self, entry_idx: u64) -> Option<u32> {
-        self.dtlb.probe_entry(entry_idx)
-    }
-
-    /// Read-only mirror of [`MemoryHierarchy::inject_itlb`].
-    pub fn probe_itlb(&self, entry_idx: u64) -> Option<u32> {
-        self.itlb.probe_entry(entry_idx)
+    /// Invalidate one flat ITLB (`itlb`) or DTLB entry (see
+    /// [`Tlb::invalidate`]).
+    pub fn invalidate_tlb_entry(&mut self, itlb: bool, entry: u32) {
+        if itlb {
+            self.itlb.invalidate(entry);
+        } else {
+            self.dtlb.invalidate(entry);
+        }
     }
 
     /// Arm the DL1 consumption feed. This is the only feed the

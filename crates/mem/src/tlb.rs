@@ -161,34 +161,24 @@ impl Tlb {
         }
     }
 
-    /// Fault injection: invalidate physical entry `entry_idx` (over
-    /// `sets * assoc` slots). Returns `false` if the slot was already
-    /// invalid (nothing to corrupt). A lost translation is refilled by the
-    /// next page walk, and translation is modeled as an identity mapping,
-    /// so an injected TLB fault perturbs timing only.
-    pub fn inject_entry(&mut self, entry_idx: u64) -> bool {
+    /// Decode a strike on physical entry `entry_idx` (over
+    /// `sets * assoc` slots): the flat `set * assoc + way` index it
+    /// invalidates, or `None` when that slot is invalid (or out of range)
+    /// and there is nothing to corrupt.
+    pub fn decode_entry(&self, entry_idx: u64) -> Option<u32> {
         let assoc = self.cfg.assoc as u64;
-        let set = (entry_idx / assoc) as usize % self.sets.len();
-        let way = (entry_idx % assoc) as usize;
-        let e = &mut self.sets[set][way];
-        if !e.valid {
-            return false;
-        }
-        e.valid = false;
-        true
+        let set = self.sets.get((entry_idx / assoc) as usize)?;
+        set[(entry_idx % assoc) as usize]
+            .valid
+            .then_some(entry_idx as u32)
     }
 
-    /// Read-only mirror of [`Tlb::inject_entry`]: the flat
-    /// `set * assoc + way` index the strike would invalidate, or `None`
-    /// when that slot is already invalid (nothing to corrupt).
-    pub fn probe_entry(&self, entry_idx: u64) -> Option<u32> {
-        let assoc = self.cfg.assoc as u64;
-        let set = (entry_idx / assoc) as usize % self.sets.len();
-        let way = (entry_idx % assoc) as usize;
-        if !self.sets[set][way].valid {
-            return None;
-        }
-        Some((set * assoc as usize + way) as u32)
+    /// Invalidate flat entry `entry` (a decoded strike). A lost
+    /// translation is refilled by the next page walk, and translation is
+    /// modeled as an identity mapping, so a TLB fault perturbs timing only.
+    pub fn invalidate(&mut self, entry: u32) {
+        let assoc = self.cfg.assoc as usize;
+        self.sets[entry as usize / assoc][entry as usize % assoc].valid = false;
     }
 
     /// Translate `addr` for `thread` at cycle `now` (architecturally live).

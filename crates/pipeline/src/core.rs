@@ -1,7 +1,10 @@
 //! The SMT core: fetch → dispatch → issue → execute → commit, with
 //! deferred ACE-bit banking at every structure.
 
-use crate::inject::{Fault, FaultProbe, FaultState, FaultTarget, Landing, RetiredInst};
+use crate::inject::{
+    target_entries, Fault, FaultProbe, FaultState, FaultTarget, Landing, RetiredInst, Rewrite,
+    Strike,
+};
 use crate::lanes::LaneEvent;
 use crate::resources::{FreeList, FuPool, IqEntry, IssueQueue, RegTracker};
 use crate::result::{SimResult, ThreadStats};
@@ -11,7 +14,7 @@ use crate::thread::{MemDep, ThreadCtx, FETCH_QUEUE_CAP};
 use crate::tracer::{TraceConfig, Tracer};
 use avf_core::{budgets, classify, AvfEngine, DeallocKind, StructureId};
 use sim_frontend::{FetchPolicyEngine, PredictorConfigExt, ThreadTelemetry};
-use sim_mem::MemoryHierarchy;
+use sim_mem::{MemoryHierarchy, TagInject};
 use sim_model::{ArchReg, FetchPolicyKind, MachineConfig, OpClass, PhysReg, ThreadId};
 #[cfg(feature = "trace")]
 use sim_trace::TraceSink as _;
@@ -100,8 +103,6 @@ pub struct SmtCore<S = TraceGenerator> {
     measure_thread0: Vec<(u64, u64, u64, u64)>,
     /// Cache/TLB counters when the window opened.
     measure_mem0: MemSnapshot,
-    /// Optional AVF phase-behavior recorder.
-    phases: Option<avf_core::PhaseRecorder>,
     /// Optional time-resolved AVF telemetry (exact windowed accounting).
     telemetry: Option<avf_core::TelemetryRecorder>,
     /// Optional pipeline event tracer. `None` is the runtime-off path (one
@@ -279,7 +280,6 @@ impl<S: InstSource> SmtCore<S> {
             measure_committed0: vec![0; n],
             measure_thread0: vec![(0, 0, 0, 0); n],
             measure_mem0: MemSnapshot::default(),
-            phases: None,
             telemetry: None,
             #[cfg(feature = "trace")]
             tracer: None,
@@ -288,17 +288,6 @@ impl<S: InstSource> SmtCore<S> {
             scratch: Scratch::default(),
             fast_forward: true,
         }
-    }
-
-    /// Record the AVF phase time series with the given sampling interval
-    /// (in cycles). Call before `run`.
-    pub fn enable_phase_recording(&mut self, interval_cycles: u64) {
-        self.phases = Some(avf_core::PhaseRecorder::new(interval_cycles));
-    }
-
-    /// Take the recorded AVF phase time series, if recording was enabled.
-    pub fn take_phases(&mut self) -> Option<Vec<avf_core::PhasePoint>> {
-        self.phases.take().map(avf_core::PhaseRecorder::into_points)
     }
 
     /// Record exact windowed AVF telemetry every `window_cycles` cycles
@@ -438,9 +427,6 @@ impl<S: InstSource> SmtCore<S> {
                 }
             }
         }
-        if let Some(rec) = &mut self.phases {
-            rec.resync(&self.avf, now);
-        }
         if let Some(rec) = &mut self.telemetry {
             // Discards warm-up windows: post-reset windows must sum to the
             // post-reset engine totals exactly.
@@ -478,9 +464,6 @@ impl<S: InstSource> SmtCore<S> {
         self.dispatch(now);
         self.fetch(now);
         self.cycle += 1;
-        if let Some(rec) = &mut self.phases {
-            rec.tick(&self.avf, self.cycle);
-        }
         if let Some(rec) = &mut self.telemetry {
             rec.tick(&self.avf, self.cycle);
         }
@@ -601,9 +584,6 @@ impl<S: InstSource> SmtCore<S> {
         self.commit_rr = (self.commit_rr + (skipped % n as u64) as usize) % n;
         self.policy.skip_cycles(skipped, self.threads.len());
         self.cycle = target;
-        if let Some(rec) = &mut self.phases {
-            rec.tick_span(&self.avf, target);
-        }
         if let Some(rec) = &mut self.telemetry {
             rec.tick_span(&self.avf, target);
         }
@@ -1823,560 +1803,327 @@ impl<S: InstSource> SmtCore<S> {
     /// uniform over each array's physical entries, so strikes on empty or
     /// architecturally idle state return [`Landing::Empty`] /
     /// [`Landing::Benign`] — exactly the derating the ACE model accounts
-    /// for analytically.
+    /// for analytically — and apply nothing.
     ///
-    /// Wrong-path occupants return [`Landing::Benign`]: the squash that
-    /// removes them discards the corrupt entry wholesale (and the matching
-    /// ACE classification is un-ACE).
+    /// The strike is resolved by [`SmtCore::decode_fault`] and then
+    /// applied, so it always lands where [`SmtCore::probe_fault`] predicts.
     pub fn inject_fault(&mut self, fault: &Fault) -> Landing {
-        match fault.target {
-            FaultTarget::Iq => self.inject_iq(fault.entry, fault.bit),
-            FaultTarget::Rob => self.inject_rob(fault.entry, fault.bit),
-            FaultTarget::LsqTag => self.inject_lsq(fault.entry, fault.bit),
-            FaultTarget::RegFile => self.inject_regfile(fault.entry),
-            FaultTarget::Fu => self.inject_fu(fault.entry, fault.bit),
-            FaultTarget::Dl1Data => {
-                let word = (fault.bit / 64) as usize % self.mem.dl1_words_per_line();
-                if self.mem.inject_dl1_data(fault.entry, word) {
-                    Landing::Injected
-                } else {
-                    Landing::Empty
-                }
+        let strike = self.decode_fault(fault);
+        self.apply_strike(strike);
+        strike.landing()
+    }
+
+    /// Predict what [`SmtCore::inject_fault`] would do *without mutating
+    /// anything*: the decoded strike, classified by [`Strike::probe`].
+    pub fn probe_fault(&self, fault: &Fault) -> FaultProbe {
+        self.decode_fault(fault).probe()
+    }
+
+    /// Resolve `fault` against the current state without mutating
+    /// anything: the occupant it strikes, the field within that occupant's
+    /// budgeted layout (`avf_core::budgets`), and the mutation injecting
+    /// it makes.
+    ///
+    /// Any entry at or past [`target_entries`](crate::target_entries) is
+    /// [`Strike::Empty`]. Wrong-path occupants are [`Strike::Benign`]: the
+    /// squash that removes them discards the corrupt entry wholesale (and
+    /// the matching ACE classification is un-ACE).
+    pub fn decode_fault(&self, fault: &Fault) -> Strike {
+        let Fault { target, entry, bit } = *fault;
+        if entry >= target_entries(target, &self.cfg) {
+            return Strike::Empty;
+        }
+        let occupant = match target {
+            FaultTarget::Iq => self
+                .iq
+                .entries()
+                .get(entry as usize)
+                .map(|e| (e.thread.index(), e.slot)),
+            FaultTarget::Rob => {
+                let per = self.cfg.rob_entries_per_thread as u64;
+                let t = (entry / per) as usize;
+                self.threads[t]
+                    .rob
+                    .get((entry % per) as usize)
+                    .map(|&i| (t, i))
             }
-            FaultTarget::Dl1Tag => match self.mem.inject_dl1_tag(fault.entry, fault.bit % 24) {
-                sim_mem::TagInject::Empty => Landing::Empty,
-                sim_mem::TagInject::Benign => Landing::Benign,
-                // The refill restores the lost clean line; only timing
-                // changes. Run the trial anyway: that is the measurement.
-                sim_mem::TagInject::CleanInvalidate => Landing::Injected,
-                sim_mem::TagInject::DirtyLost => Landing::Injected,
-            },
-            FaultTarget::Dtlb => {
+            FaultTarget::LsqTag => {
+                let per = self.cfg.lsq_entries_per_thread as u64;
+                let t = (entry / per) as usize;
+                let th = &self.threads[t];
+                th.rob
+                    .iter()
+                    .copied()
+                    .filter(|&i| th.slab[i as usize].in_lsq)
+                    .nth((entry % per) as usize)
+                    .map(|i| (t, i))
+            }
+            FaultTarget::Fu => {
+                // Instructions currently holding a functional-unit latch:
+                // issued, and still inside their occupancy window (one
+                // cycle for pipelined units, the full latency for
+                // dividers) — the same window the ACE accounting banks.
+                let now = self.cycle;
+                self.threads
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(t, th)| th.rob.iter().map(move |&i| (t, i, &th.slab[i as usize])))
+                    .filter(|(_, _, s)| {
+                        s.state == SlotState::Issued
+                            && s.inst.op != OpClass::Nop
+                            && s.issued_at + s.exec_latency.max(1) >= now
+                    })
+                    .map(|(t, i, _)| (t, i))
+                    .nth(entry as usize)
+            }
+            FaultTarget::RegFile => {
+                let int_pool = self.cfg.int_phys_regs as u64;
+                let (fp, reg) = if entry < int_pool {
+                    (false, PhysReg(entry as u16))
+                } else {
+                    (true, PhysReg((entry - int_pool) as u16))
+                };
+                let regs = if fp { &self.fp_regs } else { &self.int_regs };
+                // Free, or allocated but not yet written: the bits are idle
+                // and the eventual write overwrites the flip.
+                return if regs.is_ready(reg) {
+                    Strike::PoisonReg { fp, reg: reg.0 }
+                } else {
+                    Strike::Empty
+                };
+            }
+            FaultTarget::Dl1Data => {
+                return match self.mem.dl1().decode_data(entry, bit) {
+                    Some(word) => Strike::Dl1Word {
+                        line: entry as u32,
+                        word: word as u8,
+                    },
+                    None => Strike::Empty,
+                };
+            }
+            FaultTarget::Dl1Tag => {
+                let line = entry as u32;
+                return match self.mem.dl1().decode_tag(entry, bit) {
+                    TagInject::Empty => Strike::Empty,
+                    TagInject::Benign => Strike::Benign,
+                    // The refill restores a lost clean line; only timing
+                    // changes. The trial still runs: that is the
+                    // measurement.
+                    TagInject::CleanInvalidate => Strike::Dl1Line { line, dirty: false },
+                    TagInject::DirtyLost => Strike::Dl1Line { line, dirty: true },
+                };
+            }
+            FaultTarget::Dtlb | FaultTarget::Itlb => {
                 // A lost translation is refilled by the page walk; with the
                 // model's identity mapping the refill is identical, so these
                 // strikes measure as masked — the gap to the nonzero ACE
                 // estimate is the model's conservatism on TLBs.
-                if self.mem.inject_dtlb(fault.entry) {
-                    Landing::Injected
+                let itlb = target == FaultTarget::Itlb;
+                return match self.mem.tlb(itlb).decode_entry(entry) {
+                    Some(entry) => Strike::Tlb { itlb, entry },
+                    None => Strike::Empty,
+                };
+            }
+        };
+        let Some((t, slab)) = occupant else {
+            return Strike::Empty;
+        };
+        let slot = &self.threads[t].slab[slab as usize];
+        if slot.inst.wrong_path {
+            return Strike::Benign;
+        }
+        let taint = |rewrite: Option<Rewrite>, feeds_timing: bool| Strike::Taint {
+            thread: t as u8,
+            slab,
+            rewrite,
+            feeds_timing,
+        };
+        let flush = self.cfg.fetch_policy == FetchPolicyKind::Flush;
+        match target {
+            FaultTarget::Iq => {
+                use budgets::iq::{DEST_TAG, ENTRY, IMMEDIATE, OPCODE, SRC_TAG};
+                // Entry layout: opcode | src0 | src1 | dest tag | immediate
+                // | status.
+                let b = bit % ENTRY;
+                let src_end = OPCODE + 2 * SRC_TAG;
+                let dest_end = src_end + DEST_TAG;
+                let imm_end = dest_end + IMMEDIATE;
+                if b < OPCODE {
+                    // A corrupted opcode decodes as a different/illegal
+                    // operation.
+                    Strike::Detected
+                } else if b < src_end {
+                    let src = ((b - OPCODE) / SRC_TAG) as usize;
+                    let tag_bit = (b - OPCODE) % SRC_TAG;
+                    let Some(p) = slot.srcs_phys[src] else {
+                        return Strike::Benign; // the op has no such source
+                    };
+                    let pool = if slot.inst.srcs[src].expect("arch src").is_fp() {
+                        self.cfg.fp_phys_regs
+                    } else {
+                        self.cfg.int_phys_regs
+                    };
+                    let flipped = (p.0 ^ (1 << tag_bit.min(15))) as u32 % pool;
+                    if flipped == p.0 as u32 {
+                        return Strike::Benign;
+                    }
+                    // The op now waits on — and reads — the wrong register:
+                    // its result is corrupt, and it may wait forever (hang →
+                    // detected).
+                    let reg = flipped as u16;
+                    let src = src as u8;
+                    taint(Some(Rewrite::SrcTag { src, reg }), true)
+                } else if b < dest_end {
+                    // The result is steered to the wrong physical register.
+                    if slot.dest_phys.is_none() {
+                        Strike::Benign
+                    } else {
+                        taint(None, false)
+                    }
+                } else if b < imm_end {
+                    if slot.inst.dyn_dead {
+                        Strike::Benign
+                    } else if slot.inst.op.is_mem() {
+                        // The effective address changes: flip an address
+                        // bit above the word offset (accesses stay 8-byte
+                        // aligned).
+                        taint(Some(Rewrite::MemAddr(1 << (3 + (b - dest_end) % 34))), true)
+                    } else if slot.inst.op.is_branch() {
+                        // A corrupted branch displacement misdirects fetch.
+                        Strike::Detected
+                    } else {
+                        taint(None, false)
+                    }
+                } else if slot.inst.dyn_dead || slot.inst.op == OpClass::Nop {
+                    // Scheduling status. For an instruction whose result is
+                    // dead the scramble only perturbs timing; for a live one
+                    // the issue logic misfires.
+                    Strike::Benign
                 } else {
-                    Landing::Empty
+                    Strike::Detected
                 }
             }
-            FaultTarget::Itlb => {
-                if self.mem.inject_itlb(fault.entry) {
-                    Landing::Injected
+            FaultTarget::Rob => {
+                use budgets::rob::{DEST_ARCH, DEST_PHYS, ENTRY, OLD_PHYS, OPCODE, PC, STATUS};
+                let b = bit % ENTRY;
+                let old_end = PC + DEST_ARCH + DEST_PHYS + OLD_PHYS;
+                let opcode_end = old_end + STATUS + OPCODE;
+                if b < PC {
+                    // The architectural PC record changes: visible in the
+                    // retired stream unless the instruction's execution is
+                    // dead anyway. The slot is also tainted — the record it
+                    // will retire is corrupt, and the taint keeps the
+                    // in-flight corruption visible to `residual_corruption`
+                    // (without it, a convergence check landing while the
+                    // slot is still in flight would see a clean machine and
+                    // exit early as masked). After dispatch the recorded PC
+                    // feeds nothing else, with two exceptions that make
+                    // timing consult it again: a not-yet-issued load trains
+                    // the miss predictors with its PC at issue, and FLUSH's
+                    // L2-miss squash replays slots by refetching from their
+                    // recorded PCs.
+                    if slot.inst.dyn_dead {
+                        return Strike::Benign;
+                    }
+                    let waiting_load =
+                        slot.inst.op == OpClass::Load && slot.state == SlotState::Waiting;
+                    taint(Some(Rewrite::Pc(1 << (b % 32))), flush || waiting_load)
+                } else if b < old_end {
+                    // Destination arch/phys or previous-mapping tag: the
+                    // value ends up in (or frees) the wrong register.
+                    if slot.dest_phys.is_none() {
+                        Strike::Benign
+                    } else {
+                        taint(None, false)
+                    }
+                } else if b < opcode_end {
+                    // Status and opcode corruption break retirement control
+                    // for live *and* dead instructions (the ROB still
+                    // sequences them) — the same fields the ACE model keeps
+                    // ACE for dead ops.
+                    Strike::Detected
+                } else if slot.inst.op.is_branch() {
+                    // Branch-state bits.
+                    taint(None, false)
                 } else {
-                    Landing::Empty
+                    Strike::Benign
                 }
             }
-        }
-    }
-
-    /// Mark control-state corruption as a detectable fault.
-    fn detect(&mut self) -> Landing {
-        self.faults.detected = true;
-        Landing::Detected
-    }
-
-    fn inject_iq(&mut self, entry: u64, bit: u64) -> Landing {
-        let Some(&e) = self.iq.entries().get(entry as usize) else {
-            return Landing::Empty; // struck an unoccupied IQ entry
-        };
-        let (thread, ftag) = (e.thread, e.ftag);
-        let t = thread.index();
-        let int_pool = self.cfg.int_phys_regs;
-        let fp_pool = self.cfg.fp_phys_regs;
-        let slot = self.threads[t].slot_mut(ftag).expect("IQ entry has a slot");
-        if slot.inst.wrong_path {
-            return Landing::Benign;
-        }
-        let b = bit % budgets::iq::ENTRY;
-        // Entry layout: opcode | src0 | src1 | dest tag | immediate | status.
-        let src_end = budgets::iq::OPCODE + 2 * budgets::iq::SRC_TAG;
-        let dest_end = src_end + budgets::iq::DEST_TAG;
-        let imm_end = dest_end + budgets::iq::IMMEDIATE;
-        if b < budgets::iq::OPCODE {
-            // A corrupted opcode decodes as a different/illegal operation.
-            self.detect()
-        } else if b < src_end {
-            let idx = ((b - budgets::iq::OPCODE) / budgets::iq::SRC_TAG) as usize;
-            let tag_bit = (b - budgets::iq::OPCODE) % budgets::iq::SRC_TAG;
-            let Some(p) = slot.srcs_phys[idx] else {
-                return Landing::Benign; // the op has no such source
-            };
-            let pool = if slot.inst.srcs[idx].expect("arch src").is_fp() {
-                fp_pool
-            } else {
-                int_pool
-            };
-            let flipped = (p.0 ^ (1 << tag_bit.min(15))) as u32 % pool;
-            if flipped == p.0 as u32 {
-                return Landing::Benign;
-            }
-            // The op now waits on — and reads — the wrong register: its
-            // result is corrupt, and it may wait forever (hang → detected).
-            slot.srcs_phys[idx] = Some(PhysReg(flipped as u16));
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < dest_end {
-            if slot.dest_phys.is_none() {
-                return Landing::Benign;
-            }
-            // The result is steered to the wrong physical register.
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < imm_end {
-            if slot.inst.dyn_dead {
-                return Landing::Benign;
-            }
-            if slot.inst.op.is_mem() {
-                // The effective address changes: flip an address bit above
-                // the word offset (accesses stay 8-byte aligned).
-                if let Some(m) = &mut slot.inst.mem {
-                    m.addr ^= 1 << (3 + (b - dest_end) % 34);
+            FaultTarget::LsqTag => {
+                let b = bit % budgets::lsq::TAG_ENTRY;
+                if b >= budgets::lsq::ADDR {
+                    // Load/store control state (op kind, size, ordering
+                    // flags).
+                    return Strike::Detected;
                 }
-                slot.tainted = true;
-                Landing::Injected
-            } else if slot.inst.op.is_branch() {
-                // A corrupted branch displacement misdirects fetch.
-                self.detect()
-            } else {
-                slot.tainted = true;
-                Landing::Injected
-            }
-        } else {
-            // Scheduling status. For an instruction whose result is dead
-            // the scramble only perturbs timing; for a live one the issue
-            // logic misfires.
-            if slot.inst.dyn_dead || slot.inst.op == OpClass::Nop {
-                Landing::Benign
-            } else {
-                self.detect()
-            }
-        }
-    }
-
-    fn inject_rob(&mut self, entry: u64, bit: u64) -> Landing {
-        let per = self.cfg.rob_entries_per_thread as u64;
-        let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let Some(&slab_i) = self.threads[t].rob.get(idx) else {
-            return Landing::Empty;
-        };
-        let slot = &mut self.threads[t].slab[slab_i as usize];
-        if slot.inst.wrong_path {
-            return Landing::Benign;
-        }
-        let b = bit % budgets::rob::ENTRY;
-        let arch_end = budgets::rob::PC + budgets::rob::DEST_ARCH;
-        let dest_end = arch_end + budgets::rob::DEST_PHYS;
-        let old_end = dest_end + budgets::rob::OLD_PHYS;
-        let status_end = old_end + budgets::rob::STATUS;
-        let opcode_end = status_end + budgets::rob::OPCODE;
-        if b < budgets::rob::PC {
-            // The architectural PC record changes: visible in the retired
-            // stream unless the instruction's execution is dead anyway.
-            // The slot is also marked tainted — the record it will retire
-            // is corrupt, and the taint keeps the in-flight corruption
-            // visible to `residual_corruption` (without it, a convergence
-            // check landing while the slot is still in flight would see a
-            // clean machine and exit early as masked).
-            if slot.inst.dyn_dead {
-                return Landing::Benign;
-            }
-            slot.inst.pc ^= 1 << (b % 32);
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < old_end {
-            // Destination arch/phys or previous-mapping tag: the value ends
-            // up in (or frees) the wrong register.
-            if slot.dest_phys.is_none() {
-                return Landing::Benign;
-            }
-            slot.tainted = true;
-            Landing::Injected
-        } else if b < opcode_end {
-            // Status and opcode corruption break retirement control for
-            // live *and* dead instructions (the ROB still sequences them) —
-            // the same fields the ACE model keeps ACE for dead ops.
-            self.detect()
-        } else {
-            // Branch-state bits.
-            if slot.inst.op.is_branch() {
-                slot.tainted = true;
-                Landing::Injected
-            } else {
-                Landing::Benign
-            }
-        }
-    }
-
-    fn inject_lsq(&mut self, entry: u64, bit: u64) -> Landing {
-        let per = self.cfg.lsq_entries_per_thread as u64;
-        let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let th = &self.threads[t];
-        let Some(slab_i) = th
-            .rob
-            .iter()
-            .copied()
-            .filter(|&i| th.slab[i as usize].in_lsq)
-            .nth(idx)
-        else {
-            return Landing::Empty;
-        };
-        let slot = &mut self.threads[t].slab[slab_i as usize];
-        if slot.inst.wrong_path {
-            return Landing::Benign;
-        }
-        let b = bit % budgets::lsq::TAG_ENTRY;
-        if b < budgets::lsq::ADDR {
-            if slot.inst.dyn_dead {
-                return Landing::Benign;
-            }
-            // The access address changes: a load reads (or has read) the
-            // wrong data, a store retires to the wrong location.
-            if let Some(m) = &mut slot.inst.mem {
-                m.addr ^= 1 << (3 + b % 34);
-            }
-            slot.tainted = true;
-            Landing::Injected
-        } else {
-            // Load/store control state (op kind, size, ordering flags).
-            self.detect()
-        }
-    }
-
-    fn inject_regfile(&mut self, entry: u64) -> Landing {
-        let int_pool = self.cfg.int_phys_regs as u64;
-        let fp_pool = self.cfg.fp_phys_regs as u64;
-        let e = entry % (int_pool + fp_pool);
-        let (fp, reg) = if e < int_pool {
-            (false, PhysReg(e as u16))
-        } else {
-            (true, PhysReg((e - int_pool) as u16))
-        };
-        let written = if fp {
-            self.fp_regs.is_ready(reg)
-        } else {
-            self.int_regs.is_ready(reg)
-        };
-        if !written {
-            // Free, or allocated but not yet written: the bits are idle and
-            // the eventual write overwrites the flip.
-            return Landing::Empty;
-        }
-        self.faults.poison(fp)[reg.index()] = true;
-        Landing::Injected
-    }
-
-    fn inject_fu(&mut self, entry: u64, bit: u64) -> Landing {
-        let now = self.cycle;
-        // Instructions currently holding a functional-unit latch: issued,
-        // and still inside their occupancy window (one cycle for pipelined
-        // units, the full latency for dividers) — the same window the ACE
-        // accounting banks.
-        let Some((t, ftag)) = self
-            .threads
-            .iter()
-            .enumerate()
-            .flat_map(|(t, th)| th.rob_slots().map(move |s| (t, s)))
-            .filter(|(_, s)| {
-                s.state == SlotState::Issued
-                    && s.inst.op != OpClass::Nop
-                    && s.issued_at + s.exec_latency.max(1) >= now
-            })
-            .map(|(t, s)| (t, s.ftag))
-            .nth(entry as usize)
-        else {
-            return Landing::Empty;
-        };
-        let slot = self.threads[t].slot_mut(ftag).expect("listed slot");
-        if slot.inst.wrong_path || slot.inst.dyn_dead {
-            return Landing::Benign;
-        }
-        if bit % budgets::fu::ENTRY < 128 {
-            // Operand latch: the in-flight computation is corrupt.
-            slot.tainted = true;
-            Landing::Injected
-        } else {
-            // FU control (op select, stage valid bits).
-            self.detect()
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Read-only fault probing and the lane event feed (see `crate::lanes`)
-    // -----------------------------------------------------------------
-
-    /// Predict what [`SmtCore::inject_fault`] would do *without mutating
-    /// anything*. The decision tree mirrors `inject_fault` branch for
-    /// branch; every arm whose injection rewrites state beyond the
-    /// taint/poison metadata reports [`FaultProbe::Diverges`] instead.
-    /// The lane-equivalence tests pin probe/inject agreement.
-    pub fn probe_fault(&self, fault: &Fault) -> FaultProbe {
-        match fault.target {
-            FaultTarget::Iq => self.probe_iq(fault.entry, fault.bit),
-            FaultTarget::Rob => self.probe_rob(fault.entry, fault.bit),
-            FaultTarget::LsqTag => self.probe_lsq(fault.entry, fault.bit),
-            FaultTarget::RegFile => self.probe_regfile(fault.entry),
-            FaultTarget::Fu => self.probe_fu(fault.entry, fault.bit),
-            // Cache/TLB strikes on resident state are watchable through the
-            // memory consumption feed: data poison is pure metadata until a
-            // load reads it, and clean-tag / TLB invalidations perturb
-            // timing only (identity-mapped translation, refills restore
-            // clean lines). Even a dirty-line tag strike rides — the
-            // struck machine is golden minus one valid line, timing-
-            // identical until the line or its set is touched — so no cache
-            // or TLB strike forks up front; the lane engine forks late,
-            // on first touch, via its doom path.
-            FaultTarget::Dl1Data => {
-                let word = (fault.bit / 64) as usize % self.mem.dl1_words_per_line();
-                match self.mem.probe_dl1_data(fault.entry, word) {
-                    Some(w) => FaultProbe::CacheResident {
-                        line: fault.entry as u32,
-                        word: Some(w as u8),
-                    },
-                    None => FaultProbe::Empty,
+                if slot.inst.dyn_dead {
+                    return Strike::Benign;
                 }
-            }
-            FaultTarget::Dl1Tag => match self.mem.probe_dl1_tag(fault.entry, fault.bit % 24) {
-                sim_mem::TagInject::Empty => FaultProbe::Empty,
-                sim_mem::TagInject::Benign => FaultProbe::Benign,
-                sim_mem::TagInject::CleanInvalidate => FaultProbe::CacheResident {
-                    line: fault.entry as u32,
-                    word: None,
-                },
-                sim_mem::TagInject::DirtyLost => FaultProbe::CacheDirtyLine {
-                    line: fault.entry as u32,
-                },
-            },
-            FaultTarget::Dtlb => match self.mem.probe_dtlb(fault.entry) {
-                Some(entry) => FaultProbe::TlbResident { itlb: false, entry },
-                None => FaultProbe::Empty,
-            },
-            FaultTarget::Itlb => match self.mem.probe_itlb(fault.entry) {
-                Some(entry) => FaultProbe::TlbResident { itlb: true, entry },
-                None => FaultProbe::Empty,
-            },
-        }
-    }
-
-    fn probe_iq(&self, entry: u64, bit: u64) -> FaultProbe {
-        let Some(&e) = self.iq.entries().get(entry as usize) else {
-            return FaultProbe::Empty;
-        };
-        let t = e.thread.index();
-        let slot = &self.threads[t].slab[e.slot as usize];
-        debug_assert_eq!(slot.ftag, e.ftag, "IQ entry without ROB slot");
-        if slot.inst.wrong_path {
-            return FaultProbe::Benign;
-        }
-        let b = bit % budgets::iq::ENTRY;
-        let src_end = budgets::iq::OPCODE + 2 * budgets::iq::SRC_TAG;
-        let dest_end = src_end + budgets::iq::DEST_TAG;
-        let imm_end = dest_end + budgets::iq::IMMEDIATE;
-        if b < budgets::iq::OPCODE {
-            FaultProbe::Detected
-        } else if b < src_end {
-            let idx = ((b - budgets::iq::OPCODE) / budgets::iq::SRC_TAG) as usize;
-            let tag_bit = (b - budgets::iq::OPCODE) % budgets::iq::SRC_TAG;
-            let Some(p) = slot.srcs_phys[idx] else {
-                return FaultProbe::Benign;
-            };
-            let pool = if slot.inst.srcs[idx].expect("arch src").is_fp() {
-                self.cfg.fp_phys_regs
-            } else {
-                self.cfg.int_phys_regs
-            };
-            if (p.0 ^ (1 << tag_bit.min(15))) as u32 % pool == p.0 as u32 {
-                FaultProbe::Benign
-            } else {
-                // Injection rewrites the renamed source tag: the op waits
-                // on (and reads) a different register — timing changes.
-                FaultProbe::Diverges
-            }
-        } else if b < dest_end {
-            if slot.dest_phys.is_none() {
-                FaultProbe::Benign
-            } else {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: e.slot,
-                }
-            }
-        } else if b < imm_end {
-            if slot.inst.dyn_dead {
-                FaultProbe::Benign
-            } else if slot.inst.op.is_mem() {
-                FaultProbe::Diverges // the effective address is rewritten
-            } else if slot.inst.op.is_branch() {
-                FaultProbe::Detected
-            } else {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: e.slot,
-                }
-            }
-        } else if slot.inst.dyn_dead || slot.inst.op == OpClass::Nop {
-            FaultProbe::Benign
-        } else {
-            FaultProbe::Detected
-        }
-    }
-
-    fn probe_rob(&self, entry: u64, bit: u64) -> FaultProbe {
-        let per = self.cfg.rob_entries_per_thread as u64;
-        let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let Some(&slab_i) = self.threads[t].rob.get(idx) else {
-            return FaultProbe::Empty;
-        };
-        let slot = &self.threads[t].slab[slab_i as usize];
-        if slot.inst.wrong_path {
-            return FaultProbe::Benign;
-        }
-        let b = bit % budgets::rob::ENTRY;
-        let arch_end = budgets::rob::PC + budgets::rob::DEST_ARCH;
-        let dest_end = arch_end + budgets::rob::DEST_PHYS;
-        let old_end = dest_end + budgets::rob::OLD_PHYS;
-        let status_end = old_end + budgets::rob::STATUS;
-        let opcode_end = status_end + budgets::rob::OPCODE;
-        if b < budgets::rob::PC {
-            // After dispatch the recorded PC feeds nothing but the commit
-            // log (and the slot's taint, which injection sets alongside
-            // the flip), with two exceptions that make timing consult it
-            // again: a not-yet-issued load trains the miss predictors
-            // with its PC at issue, and FLUSH's L2-miss squash replays
-            // slots by refetching from their recorded PCs.
-            if slot.inst.dyn_dead {
-                FaultProbe::Benign
-            } else if self.cfg.fetch_policy != FetchPolicyKind::Flush
-                && !(slot.inst.op == OpClass::Load && slot.state == SlotState::Waiting)
-            {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: slab_i,
-                }
-            } else {
-                FaultProbe::Diverges // the rewritten PC feeds timing back
-            }
-        } else if b < old_end {
-            if slot.dest_phys.is_none() {
-                FaultProbe::Benign
-            } else {
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: slab_i,
-                }
-            }
-        } else if b < opcode_end {
-            FaultProbe::Detected
-        } else if slot.inst.op.is_branch() {
-            FaultProbe::TaintSlot {
-                thread: t as u8,
-                slab: slab_i,
-            }
-        } else {
-            FaultProbe::Benign
-        }
-    }
-
-    fn probe_lsq(&self, entry: u64, bit: u64) -> FaultProbe {
-        let per = self.cfg.lsq_entries_per_thread as u64;
-        let t = (entry / per) as usize % self.threads.len();
-        let idx = (entry % per) as usize;
-        let th = &self.threads[t];
-        let Some(slab_i) = th
-            .rob
-            .iter()
-            .copied()
-            .filter(|&i| th.slab[i as usize].in_lsq)
-            .nth(idx)
-        else {
-            return FaultProbe::Empty;
-        };
-        let slot = &th.slab[slab_i as usize];
-        if slot.inst.wrong_path {
-            return FaultProbe::Benign;
-        }
-        if bit % budgets::lsq::TAG_ENTRY < budgets::lsq::ADDR {
-            if slot.inst.dyn_dead {
-                FaultProbe::Benign
-            } else if slot.inst.op == OpClass::Load
-                && slot.state != SlotState::Waiting
-                && self.cfg.fetch_policy != FetchPolicyKind::Flush
-            {
-                // A load's address is consumed exactly once, at issue
+                // The access address changes: a load reads (or has read)
+                // the wrong data, a store retires to the wrong location. A
+                // load's address is consumed exactly once, at issue
                 // (`data_read` plus the store-address scan); dependence
                 // checks by other ops scan store addresses only, and the
                 // classifier short-circuits on the taint before diffing
                 // logged addresses. Past issue the flip is dead state —
-                // only the taint the injection also sets is observable.
-                // FLUSH is excluded: its L2-miss squash replays the slot
-                // and would re-issue at the rewritten address.
-                FaultProbe::TaintSlot {
-                    thread: t as u8,
-                    slab: slab_i,
+                // only the taint is observable. FLUSH is excluded: its
+                // L2-miss squash replays the slot and would re-issue at the
+                // rewritten address.
+                let issued_load = slot.inst.op == OpClass::Load && slot.state != SlotState::Waiting;
+                let addr = Rewrite::MemAddr(1 << (3 + b % 34));
+                taint(Some(addr), flush || !issued_load)
+            }
+            FaultTarget::Fu => {
+                if slot.inst.dyn_dead {
+                    Strike::Benign
+                } else if bit % budgets::fu::ENTRY < budgets::fu::OPERANDS {
+                    // Operand latch: the in-flight computation is corrupt.
+                    taint(None, false)
+                } else {
+                    // FU control (op select, stage valid bits).
+                    Strike::Detected
                 }
-            } else {
-                FaultProbe::Diverges // the access address is rewritten
             }
-        } else {
-            FaultProbe::Detected
+            _ => unreachable!("array targets return above"),
         }
     }
 
-    fn probe_regfile(&self, entry: u64) -> FaultProbe {
-        let int_pool = self.cfg.int_phys_regs as u64;
-        let fp_pool = self.cfg.fp_phys_regs as u64;
-        let e = entry % (int_pool + fp_pool);
-        let (fp, reg) = if e < int_pool {
-            (false, PhysReg(e as u16))
-        } else {
-            (true, PhysReg((e - int_pool) as u16))
-        };
-        let written = if fp {
-            self.fp_regs.is_ready(reg)
-        } else {
-            self.int_regs.is_ready(reg)
-        };
-        if written {
-            FaultProbe::PoisonReg { fp, reg: reg.0 }
-        } else {
-            FaultProbe::Empty
+    /// Apply a decoded strike. `Empty` and `Benign` apply nothing.
+    fn apply_strike(&mut self, strike: Strike) {
+        match strike {
+            Strike::Empty | Strike::Benign => {}
+            Strike::Detected => self.faults.detected = true,
+            Strike::Taint {
+                thread,
+                slab,
+                rewrite,
+                ..
+            } => {
+                let slot = &mut self.threads[thread as usize].slab[slab as usize];
+                match rewrite {
+                    Some(Rewrite::SrcTag { src, reg }) => {
+                        slot.srcs_phys[src as usize] = Some(PhysReg(reg));
+                    }
+                    Some(Rewrite::MemAddr(mask)) => {
+                        if let Some(m) = &mut slot.inst.mem {
+                            m.addr ^= mask;
+                        }
+                    }
+                    Some(Rewrite::Pc(mask)) => slot.inst.pc ^= mask,
+                    None => {}
+                }
+                slot.tainted = true;
+            }
+            Strike::PoisonReg { fp, reg } => self.faults.poison(fp)[reg as usize] = true,
+            Strike::Dl1Word { line, word } => self.mem.poison_dl1_word(line, word as usize),
+            Strike::Dl1Line { line, .. } => self.mem.invalidate_dl1_line(line),
+            Strike::Tlb { itlb, entry } => self.mem.invalidate_tlb_entry(itlb, entry),
         }
     }
 
-    fn probe_fu(&self, entry: u64, bit: u64) -> FaultProbe {
-        let now = self.cycle;
-        let Some((t, slab_i)) = self
-            .threads
-            .iter()
-            .enumerate()
-            .flat_map(|(t, th)| th.rob.iter().map(move |&i| (t, i, &th.slab[i as usize])))
-            .filter(|(_, _, s)| {
-                s.state == SlotState::Issued
-                    && s.inst.op != OpClass::Nop
-                    && s.issued_at + s.exec_latency.max(1) >= now
-            })
-            .map(|(t, i, _)| (t, i))
-            .nth(entry as usize)
-        else {
-            return FaultProbe::Empty;
-        };
-        let slot = &self.threads[t].slab[slab_i as usize];
-        if slot.inst.wrong_path || slot.inst.dyn_dead {
-            FaultProbe::Benign
-        } else if bit % budgets::fu::ENTRY < 128 {
-            FaultProbe::TaintSlot {
-                thread: t as u8,
-                slab: slab_i,
-            }
-        } else {
-            FaultProbe::Detected
-        }
-    }
+    // -----------------------------------------------------------------
+    // The lane event feed (see `crate::lanes`)
+    // -----------------------------------------------------------------
 
     /// Arm the lane event feed (idempotent). While armed, every
     /// taint/poison-relevant mutation pushes one [`LaneEvent`]; the feed

@@ -14,7 +14,7 @@
 //! *detected* at injection time, the hardware-detectable-error (DUE)
 //! proxy.
 
-use sim_model::OpClass;
+use sim_model::{MachineConfig, OpClass};
 
 /// The microarchitectural array a fault strikes. Entry/bit layouts follow
 /// `avf_core::budgets`.
@@ -96,19 +96,154 @@ pub enum Landing {
     Detected,
 }
 
-/// Read-only prediction of what [`inject_fault`] would do, computed by
-/// [`probe_fault`] without mutating the core. The lane-batch engine uses
-/// it to keep metadata-only strikes (taint/poison, which never feed back
-/// into timing) riding a shared golden follower, and to fork anything
-/// else out to the scalar path.
+/// Physical entry count of `target` on machine `cfg`: the entry sampling
+/// space, occupied or not.
+/// [`SmtCore::decode_fault`](crate::SmtCore::decode_fault) decodes any
+/// entry at or past it as [`Strike::Empty`].
+pub fn target_entries(target: FaultTarget, cfg: &MachineConfig) -> u64 {
+    match target {
+        FaultTarget::Iq => cfg.iq_entries as u64,
+        FaultTarget::Rob => cfg.contexts as u64 * cfg.rob_entries_per_thread as u64,
+        FaultTarget::LsqTag => cfg.contexts as u64 * cfg.lsq_entries_per_thread as u64,
+        FaultTarget::RegFile => cfg.int_phys_regs as u64 + cfg.fp_phys_regs as u64,
+        FaultTarget::Fu => {
+            let f = &cfg.fus;
+            (f.int_alu + f.int_mul_div + f.load_store + f.fp_alu + f.fp_mul_div) as u64
+        }
+        FaultTarget::Dl1Data | FaultTarget::Dl1Tag => cfg.dl1.num_lines(),
+        FaultTarget::Dtlb => cfg.dtlb.entries as u64,
+        FaultTarget::Itlb => cfg.itlb.entries as u64,
+    }
+}
+
+/// A fault resolved against the core's current state by
+/// [`SmtCore::decode_fault`]: what the strike lands on and the mutation
+/// injecting it makes. Decoding is read-only.
+/// [`SmtCore::inject_fault`] applies the decoded strike and
+/// [`Strike::probe`] classifies it for the lane engine, so injection and
+/// probing agree by construction.
 ///
-/// The classification is conservative by construction: any strike whose
-/// injection mutates state the lane engine cannot track exactly against
-/// the shared follower — renamed source tags, pre-issue effective
-/// addresses, pre-issue load PCs — probes as [`FaultProbe::Diverges`]
-/// even when the mutation would turn out to be timing-neutral, because
-/// the fork (a scalar trial) is always correct and only the *cheap*
-/// cases must be predicted exactly.
+/// [`SmtCore::decode_fault`]: crate::SmtCore::decode_fault
+/// [`SmtCore::inject_fault`]: crate::SmtCore::inject_fault
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strike {
+    /// No occupant, or an entry outside the array: applies nothing.
+    Empty,
+    /// An architecturally idle field: applies nothing.
+    Benign,
+    /// Control state a real pipeline traps on or wedges over: sets the
+    /// core's detected flag.
+    Detected,
+    /// Taints slot `(thread, slab)`, after applying `rewrite` to it.
+    Taint {
+        /// Owning thread.
+        thread: u8,
+        /// Slab index of the struck slot in that thread's ROB slab.
+        slab: u32,
+        /// The struck field, when injection rewrites it.
+        rewrite: Option<Rewrite>,
+        /// A later pipeline decision reads the rewritten field, so the
+        /// strike changes timing and a lane must fork.
+        feeds_timing: bool,
+    },
+    /// Poisons one physical register.
+    PoisonReg {
+        /// Floating-point pool (`false` = integer pool).
+        fp: bool,
+        /// Register index within its pool.
+        reg: u16,
+    },
+    /// Poisons one word of a valid DL1 line.
+    Dl1Word {
+        /// Flat physical DL1 line index (`set * assoc + way`).
+        line: u32,
+        /// Word within the line.
+        word: u8,
+    },
+    /// Invalidates a valid DL1 line; a dirty one loses its only good copy.
+    Dl1Line {
+        /// Flat physical DL1 line index.
+        line: u32,
+        /// The line was dirty.
+        dirty: bool,
+    },
+    /// Invalidates one valid TLB entry.
+    Tlb {
+        /// Instruction TLB (`false` = data TLB).
+        itlb: bool,
+        /// Flat entry index (`set * assoc + way`).
+        entry: u32,
+    },
+}
+
+/// A field of a struck slot that injection rewrites before tainting it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rewrite {
+    /// Source operand `src` now names physical register `reg`.
+    SrcTag {
+        /// Source operand index.
+        src: u8,
+        /// The register the flipped tag names.
+        reg: u16,
+    },
+    /// The effective address is xored with this mask.
+    MemAddr(u64),
+    /// The recorded PC is xored with this mask.
+    Pc(u64),
+}
+
+impl Strike {
+    /// The landing [`SmtCore::inject_fault`] reports for this strike.
+    ///
+    /// [`SmtCore::inject_fault`]: crate::SmtCore::inject_fault
+    pub fn landing(self) -> Landing {
+        match self {
+            Strike::Empty => Landing::Empty,
+            Strike::Benign => Landing::Benign,
+            Strike::Detected => Landing::Detected,
+            _ => Landing::Injected,
+        }
+    }
+
+    /// Classify the strike for the lane engine: a rewrite that feeds
+    /// timing back [`FaultProbe::Diverges`]; everything else maps onto the
+    /// metadata or resident class the lane tracks.
+    pub fn probe(self) -> FaultProbe {
+        match self {
+            Strike::Empty => FaultProbe::Empty,
+            Strike::Benign => FaultProbe::Benign,
+            Strike::Detected => FaultProbe::Detected,
+            Strike::Taint {
+                feeds_timing: true, ..
+            } => FaultProbe::Diverges,
+            Strike::Taint { thread, slab, .. } => FaultProbe::TaintSlot { thread, slab },
+            Strike::PoisonReg { fp, reg } => FaultProbe::PoisonReg { fp, reg },
+            Strike::Dl1Word { line, word } => FaultProbe::CacheResident {
+                line,
+                word: Some(word),
+            },
+            Strike::Dl1Line { line, dirty: false } => {
+                FaultProbe::CacheResident { line, word: None }
+            }
+            Strike::Dl1Line { line, dirty: true } => FaultProbe::CacheDirtyLine { line },
+            Strike::Tlb { itlb, entry } => FaultProbe::TlbResident { itlb, entry },
+        }
+    }
+}
+
+/// Read-only prediction of what [`inject_fault`] would do:
+/// [`probe_fault`] decodes the strike and classifies it with
+/// [`Strike::probe`], without mutating the core. The lane-batch engine
+/// uses it to keep metadata-only strikes (taint/poison, which never feed
+/// back into timing) riding a shared golden follower, and to fork
+/// anything else out to the scalar path.
+///
+/// The classification is conservative: a strike whose decoded rewrite the
+/// lane engine cannot track against the shared follower (renamed source
+/// tags, pre-issue effective addresses, pre-issue load PCs) is
+/// [`FaultProbe::Diverges`] even when the rewrite would turn out to be
+/// timing-neutral, because the fork (a scalar trial) is always correct
+/// and only the *cheap* cases must be predicted exactly.
 ///
 /// [`inject_fault`]: crate::SmtCore::inject_fault
 /// [`probe_fault`]: crate::SmtCore::probe_fault

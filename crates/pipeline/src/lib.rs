@@ -46,7 +46,9 @@ pub mod thread;
 pub mod tracer;
 
 pub use crate::core::{SimBudget, SmtCore};
-pub use inject::{Fault, FaultProbe, FaultTarget, Landing, RetiredInst};
+pub use inject::{
+    target_entries, Fault, FaultProbe, FaultTarget, Landing, RetiredInst, Rewrite, Strike,
+};
 pub use lanes::LaneBatch;
 pub use result::SimResult;
 #[cfg(feature = "trace")]

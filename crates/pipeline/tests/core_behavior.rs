@@ -173,29 +173,6 @@ fn raft_extension_reduces_iq_vulnerability_on_mixed_workloads() {
 }
 
 #[test]
-fn phase_recording_produces_consistent_series() {
-    let cfg = MachineConfig::ispass07_baseline();
-    let mut core = SmtCore::new(cfg, gens(&["bzip2"]));
-    core.enable_phase_recording(1_000);
-    let _ = core.run(SimBudget::total_instructions(20_000));
-    let points = core.take_phases().expect("recording was enabled");
-    assert!(points.len() >= 5);
-    for w in points.windows(2) {
-        assert_eq!(w[0].end_cycle, w[1].start_cycle, "intervals are contiguous");
-    }
-    // Deferred banking attributes a residency to the interval where it
-    // ends, so a single interval can exceed 1.0; values must still be
-    // nonnegative and bounded by residency physics.
-    for p in &points {
-        for &v in &p.avf {
-            assert!((0.0..50.0).contains(&v), "phase AVF out of range: {v}");
-        }
-    }
-    // Recording is take-once.
-    assert!(core.take_phases().is_none());
-}
-
-#[test]
 fn eight_context_machine_runs_every_policy() {
     let progs = [
         "mcf", "twolf", "swim", "lucas", "equake", "applu", "vpr", "mgrid",

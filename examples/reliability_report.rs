@@ -1,6 +1,6 @@
 //! Whole-processor reliability report: overall bit-weighted AVF, FIT and
-//! MTTF estimation (paper Section 2's weighted-sum method), and the AVF
-//! phase-behavior time series.
+//! MTTF estimation (paper Section 2's weighted-sum method), and the
+//! windowed AVF time series that shows phase behavior.
 //!
 //! ```sh
 //! cargo run --release --example reliability_report
@@ -23,7 +23,7 @@ fn main() {
         .map(|(i, p)| TraceGenerator::new(profile(p).unwrap(), workload_seed(&workload, i)))
         .collect();
     let mut core = SmtCore::new(cfg, gens);
-    core.enable_phase_recording(20_000);
+    core.enable_telemetry(20_000);
     let result = core.run(SimBudget::total_instructions(200_000).with_warmup(100_000));
 
     println!("workload {} — IPC {:.2}\n", workload.name, result.ipc());
@@ -48,10 +48,10 @@ fn main() {
     }
 
     // Phase behavior: IQ AVF over time.
-    if let Some(points) = core.take_phases() {
-        println!("\nIQ AVF phase behavior ({} intervals):", points.len());
-        for p in points.iter().take(20) {
-            let v = p.structure(StructureId::Iq);
+    if let Some(windows) = core.take_telemetry() {
+        println!("\nIQ AVF phase behavior ({} windows):", windows.len());
+        for p in windows.iter().take(20) {
+            let v = p.structure_avf(StructureId::Iq);
             let bar = "#".repeat((v * 60.0) as usize);
             println!(
                 "  [{:>8}..{:>8}] {:>5.1}% {bar}",

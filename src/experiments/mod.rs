@@ -2,8 +2,8 @@
 //!
 //! Each `figureN` function runs the required simulations at a given
 //! [`ExperimentScale`] and returns [`Table`](crate::Table)s whose rows/columns mirror the
-//! paper's panels. The `bench` crate exposes one binary per experiment
-//! (`cargo run --release -p smt-avf-bench --bin fig1`), and EXPERIMENTS.md
+//! paper's panels. The `bench` crate runs any one of them by name
+//! (`cargo run --release -p smt-avf-bench --bin all -- fig1`), and EXPERIMENTS.md
 //! records measured-vs-paper shapes.
 
 pub mod campaign;
