@@ -193,6 +193,9 @@ fn sfi_wallclock(trials: usize) -> (f64, f64, usize) {
     };
     let mut cc = default_campaign(&w, trials, 12, ExperimentScale::quick());
     cc.workers = 1;
+    // Scalar trials on both sides: this section times checkpointing alone;
+    // the `lanes` section times the lane engine.
+    cc.lanes = 0;
 
     cc.replay_from_zero = true;
     let t0 = Instant::now();

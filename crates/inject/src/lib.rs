@@ -228,8 +228,8 @@ pub struct CampaignConfig {
     pub fast_forward: bool,
     /// Lane-parallel batched trials: group up to this many trials per
     /// shared golden follower core (see [`sim_pipeline::LaneBatch`]),
-    /// clamped to 64. `0` (the default) runs every trial on the scalar
-    /// per-trial path, which is the oracle the batched path is proven
+    /// clamped to 64; [`DEFAULT_LANES`] by default. `0` runs every trial
+    /// on the scalar per-trial path, the oracle the batched path is proven
     /// bit-identical against. Requires the checkpointed golden path
     /// (ignored under [`replay_from_zero`]). Purely an execution knob:
     /// records are bit-identical for any value, so it is deliberately
@@ -246,6 +246,10 @@ pub struct CampaignConfig {
 /// of the window while golden capture stays a handful of clones.
 pub const DEFAULT_CHECKPOINTS: usize = 12;
 
+/// Default lane width: the full 64-bit lane mask, so each follower replay
+/// carries as many riders as the batch plan can give it.
+pub const DEFAULT_LANES: usize = 64;
+
 impl CampaignConfig {
     /// A campaign over the structures the cross-validation report covers.
     pub fn new(trials_per_structure: usize, seed: u64, budget: SimBudget) -> CampaignConfig {
@@ -259,7 +263,7 @@ impl CampaignConfig {
             replay_from_zero: false,
             progress: false,
             fast_forward: true,
-            lanes: 0,
+            lanes: DEFAULT_LANES,
             targets: vec![
                 FaultTarget::Iq,
                 FaultTarget::Rob,
@@ -566,7 +570,16 @@ where
     S: InstSource,
     F: Fn() -> SmtCore<S>,
 {
-    let mut core = warmed_core(factory, budget);
+    run_window(warmed_core(factory, budget), budget)
+}
+
+/// Step `core`, fresh from [`warmed_core`], through the measurement
+/// window to the commit target and return the window with its retired
+/// streams.
+fn run_window<S: InstSource>(
+    mut core: SmtCore<S>,
+    budget: SimBudget,
+) -> Result<GoldenRun, InjectError> {
     let contexts = core.config().contexts;
     let start = core.cycle();
     let target_committed = core.total_committed() + budget.total_instructions;
@@ -639,11 +652,13 @@ impl<S> CheckpointedGolden<S> {
 /// measurement window: one at the window start (so no trial ever replays
 /// warmup) and the rest evenly spaced.
 ///
-/// The golden pass runs twice: pass 1 discovers the window `[start, end)`
-/// and the retired streams; pass 2 — bit-identical, because the simulator
-/// is a pure function of its construction — replays and clones the
-/// machine at the planned cycles. Two golden passes cost far less than
-/// what checkpoints save across hundreds of trials.
+/// Warm-up runs once; the window runs twice. Pass 1 steps a clone of the
+/// warmed core to discover the window `[start, end)` and the retired
+/// streams. Pass 2 steps the warmed core itself — the window-start
+/// snapshot, so bit-identical to pass 1 because a clone steps exactly
+/// like its original — and clones it at the planned cycles. The second
+/// window pass costs far less than what checkpoints save across hundreds
+/// of trials.
 pub fn run_golden_checkpointed<S, F>(
     factory: &F,
     budget: SimBudget,
@@ -653,11 +668,10 @@ where
     S: InstSource + Clone,
     F: Fn() -> SmtCore<S>,
 {
-    let golden = run_golden(factory, budget)?;
+    let mut core = warmed_core(factory, budget);
+    let golden = run_window(core.clone(), budget)?;
     let k = k.max(1) as u64;
     let span = golden.end - golden.start;
-    let mut core = warmed_core(factory, budget);
-    debug_assert_eq!(core.cycle(), golden.start, "replay diverged from pass 1");
     let mut checkpoints: Vec<(u64, SmtCore<S>)> = Vec::with_capacity(k as usize);
     for i in 0..k {
         let at = golden.start + span * i / k;

@@ -3,21 +3,31 @@
 //! trial, not just in aggregate.
 //!
 //! `CampaignConfig::replay_from_zero` keeps the slow path alive precisely
-//! so this test can hold the fast path to it.
+//! so this test can hold the fast path to it. The golden capture itself
+//! is held to a two-pass reference (warm up, run the window; warm up
+//! again, step to each checkpoint), so stores fingerprinted before the
+//! single-warm-up capture still resume.
 
 use sim_inject::*;
-use sim_model::MachineConfig;
+use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::{Fault, FaultTarget, SimBudget, SmtCore};
+use sim_store::{encode_record, CoreSnapshot, GoldenFingerprint};
 use sim_workload::{profile, TraceGenerator};
 
-fn factory() -> SmtCore {
-    let cfg = MachineConfig::ispass07_baseline().with_contexts(2);
+fn core_with(policy: FetchPolicyKind) -> SmtCore {
+    let cfg = MachineConfig::ispass07_baseline()
+        .with_contexts(2)
+        .with_fetch_policy(policy);
     let gens = ["bzip2", "mcf"]
         .iter()
         .enumerate()
         .map(|(i, p)| TraceGenerator::new(profile(p).expect("profiled"), i as u64 + 7))
         .collect();
     SmtCore::new(cfg, gens)
+}
+
+fn factory() -> SmtCore {
+    core_with(FetchPolicyKind::Icount)
 }
 
 fn budget() -> SimBudget {
@@ -28,6 +38,8 @@ fn campaign(workers: usize, replay_from_zero: bool) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(5, 0xBADC0DE, budget());
     cfg.workers = workers;
     cfg.replay_from_zero = replay_from_zero;
+    // The scalar checkpointed path; the lane engine has its own proofs.
+    cfg.lanes = 0;
     cfg
 }
 
@@ -43,6 +55,15 @@ fn checkpointed_campaign_matches_replay_from_zero_at_1_2_and_4_workers() {
         );
         assert_eq!(oracle.per_target, fast.per_target, "{workers} workers");
     }
+    // And the library defaults (checkpointed, lane-batched) end to end.
+    let default = run_campaign(factory, &CampaignConfig::new(5, 0xBADC0DE, budget()))
+        .expect("default campaign runs");
+    assert_eq!(oracle.window, default.window);
+    assert_eq!(
+        oracle.records, default.records,
+        "default-config records diverged from the oracle"
+    );
+    assert_eq!(oracle.per_target, default.per_target);
 }
 
 #[test]
@@ -130,4 +151,108 @@ fn a_single_checkpoint_still_covers_the_whole_window() {
     let slow = run_trial(&factory, budget(), &golden, fault, late, 20_000).expect("runs");
     let fast = run_trial_checkpointed(&checkpointed, fault, late, 20_000).expect("runs");
     assert_eq!(slow, fast);
+}
+
+/// The reference capture: warm up and run the window to learn
+/// `[start, end)` and the retired streams, then warm up a second core and
+/// step it to `start + span·i/k`, recording each distinct cycle with its
+/// state digest.
+fn two_pass_capture<F: Fn() -> SmtCore>(
+    factory: &F,
+    budget: SimBudget,
+    k: u64,
+) -> GoldenFingerprint {
+    let mut core = warmed_core(factory, budget);
+    let start = core.cycle();
+    let target_committed = core.total_committed() + budget.total_instructions;
+    while core.total_committed() < target_committed && core.cycle() < budget.max_cycles {
+        core.step_fast_bounded(budget.max_cycles);
+    }
+    assert!(
+        core.total_committed() >= target_committed,
+        "golden completes"
+    );
+    let end = core.cycle();
+    let mut per_thread = vec![Vec::new(); core.config().contexts];
+    for r in core.take_commit_log().expect("log was enabled") {
+        per_thread[r.thread as usize].push(r);
+    }
+
+    let mut core = warmed_core(factory, budget);
+    let span = end - start;
+    let mut checkpoints: Vec<CoreSnapshot> = Vec::new();
+    for i in 0..k {
+        let at = start + span * i / k;
+        if checkpoints.last().is_some_and(|c| c.cycle == at) {
+            continue;
+        }
+        while core.cycle() < at {
+            core.step_fast_bounded(at);
+        }
+        checkpoints.push(CoreSnapshot {
+            cycle: core.cycle(),
+            digest: core.state_digest(),
+        });
+    }
+    GoldenFingerprint {
+        golden: GoldenRun {
+            start,
+            end,
+            target_committed,
+            per_thread,
+        },
+        checkpoints,
+    }
+}
+
+#[test]
+fn single_warmup_capture_matches_the_two_pass_reference() {
+    // A window of about a dozen cycles, so K can exceed it while the
+    // capture holds only that many machine clones (each is megabytes).
+    let tiny = SimBudget::total_instructions(8).with_warmup(1_000);
+    for policy in [FetchPolicyKind::Icount, FetchPolicyKind::Flush] {
+        let factory = move || core_with(policy);
+        let window = {
+            let g = two_pass_capture(&factory, tiny, 1).golden;
+            g.end - g.start
+        };
+        for (budget, k) in [(budget(), 1), (budget(), 12), (tiny, window + 5)] {
+            let label = format!("{policy:?}, K = {k}");
+            let reference = two_pass_capture(&factory, budget, k);
+            let captured =
+                run_golden_checkpointed(&factory, budget, k as usize).expect("golden runs");
+            let snapshots: Vec<CoreSnapshot> = captured
+                .snapshots()
+                .map(|(cycle, core)| CoreSnapshot {
+                    cycle,
+                    digest: core.state_digest(),
+                })
+                .collect();
+            assert_eq!(
+                snapshots, reference.checkpoints,
+                "{label}: checkpoint cycles and state digests"
+            );
+            if k > window {
+                assert_eq!(
+                    snapshots.len() as u64,
+                    window,
+                    "{label}: one snapshot per window cycle"
+                );
+            }
+            assert_eq!(
+                encode_record(&captured.golden),
+                encode_record(&reference.golden),
+                "{label}: golden run encoding"
+            );
+
+            // A store fingerprinted from the reference capture still
+            // accepts a campaign prepared by the single-warm-up path.
+            let mut cfg = CampaignConfig::new(1, 0, budget);
+            cfg.checkpoints = k as usize;
+            let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("campaign prepares");
+            reference
+                .verify(&prepared)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
 }

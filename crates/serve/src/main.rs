@@ -45,6 +45,8 @@ fn usage() -> String {
      \x20      [--worker-procs P] [--chunk N] [--scale quick|default]\n\
      \x20      [--checkpoints K] [--lanes L] [--targets a,b,...]\n\
      \x20      [--name LABEL] [--enqueue QUEUE_DIR] [--no-metrics]\n\
+     \x20      (--lanes L: trials per lane batch, default 64; 0 runs the\n\
+     \x20      scalar per-trial oracle. Not part of the job identity.)\n\
      serve  --store DIR --queue DIR [--worker-procs P] [--poll-ms N]\n\
      \x20      [--metrics-every N] [--no-metrics] [--once]\n\
      status --store DIR [--watch] [--interval-ms N]\n\

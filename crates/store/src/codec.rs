@@ -310,9 +310,10 @@ impl Codec for CampaignConfig {
             // Deliberately not on the wire: lane batching is an execution
             // knob with no effect on the records, and keeping it out of
             // the encoding keeps a job's identity (and its stored bytes)
-            // lane-count-independent. Decoded specs run the scalar path;
-            // in-process callers set `lanes` on the config they pass in.
-            lanes: 0,
+            // lane-count-independent. Decoded specs (sharded workers,
+            // queued jobs) batch at the library default; in-process
+            // callers set `lanes` on the config they pass in.
+            lanes: sim_inject::DEFAULT_LANES,
             targets,
         })
     }

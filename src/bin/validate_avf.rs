@@ -13,9 +13,10 @@
 //!
 //! Trials restore from K golden-run checkpoints by default;
 //! `--replay-from-zero` forces the slow oracle path (identical results,
-//! useful for timing comparisons and distrust). `--lanes N` runs up to N
-//! trials per batch on the lane-parallel lockstep engine (bit-identical
-//! to the scalar path; see DESIGN.md §5i); 0 keeps the scalar oracle.
+//! useful for timing comparisons and distrust). Trials run up to 64 per
+//! batch on the lane-parallel lockstep engine (bit-identical to the
+//! scalar path; see DESIGN.md §5i); `--lanes N` sets the batch width and
+//! `--lanes 0` selects the scalar per-trial oracle.
 //!
 //! `--trace-out PATH` re-runs the ACE reference with pipeline tracing and
 //! writes Chrome Trace Event JSON (open in Perfetto or `chrome://tracing`).
@@ -54,7 +55,7 @@ fn parse_args() -> Result<Options, String> {
         scale: ExperimentScale::quick(),
         checkpoints: sim_inject::DEFAULT_CHECKPOINTS,
         replay_from_zero: false,
-        lanes: 0,
+        lanes: sim_inject::DEFAULT_LANES,
         trace_out: None,
         telemetry_window: None,
         store: None,
@@ -124,7 +125,9 @@ fn parse_args() -> Result<Options, String> {
                      [--seed S] [--workers W] [--scale quick|default] \
                      [--checkpoints K] [--replay-from-zero] [--lanes N] \
                      [--store DIR] [--resume] [--chunk N] \
-                     [--trace-out PATH] [--telemetry-window N]"
+                     [--trace-out PATH] [--telemetry-window N]\n\
+                     --lanes N: trials per lane batch (default 64, at most 64); \
+                     0 runs the scalar per-trial oracle"
                     .to_string())
             }
             other => return Err(format!("unknown flag '{other}' (try --help)")),

@@ -92,7 +92,9 @@ fn mixed_and_cpu_bound_mixes_are_bit_identical() {
 fn sfi_campaign_records_are_identical_at_1_2_4_workers() {
     // Fault injections, hang verdicts and convergence checks all bound
     // the clock jumps, so SFI campaign records must be bit-identical with
-    // fast-forwarding on or off — at every worker count.
+    // fast-forwarding on or off — at every worker count. The oracle side
+    // is the cycle-by-cycle scalar path; the fast side runs the library
+    // defaults (fast-forward on, lane-batched).
     let w = workload("2T-MIX-A");
     let cfg = MachineConfig::ispass07_baseline().with_contexts(w.contexts);
     let gens = workload_generators(&w).expect("table 2 profiles");
@@ -103,6 +105,9 @@ fn sfi_campaign_records_are_identical_at_1_2_4_workers() {
         let mut c = CampaignConfig::new(5, 0xFA57_F0D0, budget);
         c.workers = workers;
         c.fast_forward = fast;
+        if !fast {
+            c.lanes = 0;
+        }
         run_campaign(&factory, &c).expect("campaign runs")
     };
 
