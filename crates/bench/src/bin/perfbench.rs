@@ -32,8 +32,7 @@
 //!    full runs assert ≥1.5x.
 //!
 //! The JSON also records the machine context that makes parallel numbers
-//! interpretable: `std::thread::available_parallelism()` and the
-//! `sim_exec` job-chunk granularity.
+//! interpretable: `std::thread::available_parallelism()`.
 //!
 //! The baseline constants below were measured at the pre-optimization
 //! commit on the same machine, so the JSON records the perf trajectory
@@ -674,8 +673,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"schema\": \"smt-avf/perfbench/v1\",\n  \"commit\": \"{}\",\n  \
-         \"hardware\": {{\n    \"available_parallelism\": {parallelism},\n    \
-         \"job_chunk\": {}\n  }},\n  \
+         \"hardware\": {{\n    \"available_parallelism\": {parallelism}\n  }},\n  \
          \"config\": {{\n    \"workload\": \"{}\",\n    \"policy\": \"ICOUNT\",\n    \
          \"warmup_cycles\": {warmup},\n    \"timed_cycles\": {timed}\n  }},\n  \
          \"step\": {{\n    \"cycles_per_sec\": {cps:.0},\n    \
@@ -688,7 +686,6 @@ fn main() {
          \"lanes\": {lanes_json},\n  \
          \"service\": {service_json}\n}}\n",
         git_sha(),
-        sim_exec::JOB_CHUNK,
         w.name,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");

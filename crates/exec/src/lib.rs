@@ -54,13 +54,6 @@ fn default_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Indices are claimed from the shared counter in contiguous chunks of
-/// this many jobs. Chunking amortizes the claim CAS and the merge-lock
-/// acquisition across short jobs while staying small enough that the tail
-/// of a sweep load-balances; it cannot affect results, because the merge
-/// is by index regardless of which worker claimed what.
-pub const JOB_CHUNK: usize = 4;
-
 /// Scheduling observability for one [`run_indexed_stats`] call. The stats
 /// describe *how* the pool executed (load balance), never *what* it
 /// computed — results are index-merged and identical for any worker count.
@@ -147,18 +140,17 @@ where
             // `move` takes this worker's `&mut` tally slot; the shared
             // state is captured as the references rebound above.
             scope.spawn(move || loop {
-                let base = next.fetch_add(JOB_CHUNK, Ordering::Relaxed);
-                if base >= total {
+                // One index per claim: every job is a whole simulation or
+                // lane batch, so the atomic add and merge lock are noise,
+                // and a worker never holds jobs it has not started while
+                // another worker idles.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= total {
                     break;
                 }
-                let end = (base + JOB_CHUNK).min(total);
-                *jobs += (end - base) as u64;
-                // Run the whole chunk before touching the merge lock.
-                let chunk: Vec<T> = (base..end).map(f).collect();
-                let mut merged = results.lock().unwrap();
-                for (i, r) in chunk.into_iter().enumerate() {
-                    merged[base + i] = Some(r);
-                }
+                *jobs += 1;
+                let r = f(i);
+                results.lock().unwrap()[i] = Some(r);
             });
         }
     });
@@ -255,6 +247,34 @@ mod tests {
             if total > 0 {
                 assert_eq!(stats.per_worker_jobs.len(), workers.clamp(1, total));
             }
+        }
+    }
+
+    /// With as many jobs as workers, every worker must get one: each job
+    /// blocks until all of them have started, which only happens if no
+    /// worker holds an unstarted job while another idles. A pool that
+    /// hands out blocks of jobs times out here instead of hanging.
+    #[test]
+    fn pool_is_work_conserving() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        for workers in [2usize, 4] {
+            let started = (Mutex::new(0usize), Condvar::new());
+            let (timed_out, stats) = run_indexed_stats(workers, workers, |_| {
+                let (count, cv) = &started;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                cv.notify_all();
+                let (_n, wait) = cv
+                    .wait_timeout_while(n, Duration::from_secs(30), |n| *n < workers)
+                    .unwrap();
+                wait.timed_out()
+            });
+            assert!(
+                !timed_out.contains(&true),
+                "{workers} workers: a job waited alone"
+            );
+            assert_eq!(stats.per_worker_jobs, vec![1; workers], "{workers} workers");
         }
     }
 

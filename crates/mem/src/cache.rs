@@ -35,14 +35,39 @@ impl CacheStats {
     }
 }
 
-/// Per-word ACE tracking state: the cycle of the last event touching the
-/// word. (Dirtiness is tracked per line: dirty lines are written back
-/// whole, so every word of a dirty line shares the line's fate.)
-#[derive(Debug, Clone, Copy)]
-struct WordState {
-    last_event: u64,
-    /// Fault injection: this word's stored value is corrupt.
-    poisoned: bool,
+/// Per-word ACE tracking state, packed into one `u64`: the low 63 bits
+/// hold the cycle of the last event touching the word, and bit 63 says
+/// the word's stored value is corrupt (fault injection). The word arrays,
+/// the L2's above all, are a core's largest allocation and most of what a
+/// cache clone copies, so a word state must stay eight bytes.
+/// (Dirtiness is tracked per line: dirty lines are written back whole,
+/// so every word of a dirty line shares the line's fate.)
+#[derive(Debug, Clone, Copy, Default)]
+struct WordState(u64);
+
+impl WordState {
+    const POISON: u64 = 1 << 63;
+
+    fn last_event(self) -> u64 {
+        self.0 & !Self::POISON
+    }
+
+    fn set_last_event(&mut self, cycle: u64) {
+        debug_assert!(cycle < Self::POISON, "cycle {cycle} reaches the poison bit");
+        self.0 = (self.0 & Self::POISON) | cycle;
+    }
+
+    fn poisoned(self) -> bool {
+        self.0 & Self::POISON != 0
+    }
+
+    fn set_poisoned(&mut self, poisoned: bool) {
+        if poisoned {
+            self.0 |= Self::POISON;
+        } else {
+            self.0 &= !Self::POISON;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -205,13 +230,7 @@ impl Cache {
             name,
             cfg,
             lines: vec![Line::empty(); num_lines],
-            words: vec![
-                WordState {
-                    last_event: 0,
-                    poisoned: false,
-                };
-                num_lines * words_per_line
-            ],
+            words: vec![WordState::default(); num_lines * words_per_line],
             offset_bits: cfg.line_bytes.trailing_zeros(),
             index_mask: sets - 1,
             words_per_line,
@@ -404,17 +423,17 @@ impl Cache {
             match kind {
                 AccessKind::Read => {
                     let words = &mut self.words[wbase + w0..=wbase + w1];
-                    poisoned = words.iter().any(|ws| ws.poisoned);
+                    poisoned = words.iter().any(|ws| ws.poisoned());
                     // The interval since each word's previous event is ACE:
                     // the value had to survive to be consumed now.
                     if ace {
                         for ws in words {
-                            if now > ws.last_event {
+                            if now > ws.last_event() {
                                 if let Some(t) = data_target {
-                                    engine.bank(t, owner, 64, now - ws.last_event);
+                                    engine.bank(t, owner, 64, now - ws.last_event());
                                 }
                             }
-                            ws.last_event = now;
+                            ws.set_last_event(now);
                         }
                     }
                 }
@@ -425,8 +444,8 @@ impl Cache {
                     line.dirty = true;
                     line.owner = thread;
                     for ws in &mut self.words[wbase + w0..=wbase + w1] {
-                        ws.last_event = now;
-                        ws.poisoned = false;
+                        ws.set_last_event(now);
+                        ws.set_poisoned(false);
                     }
                 }
             }
@@ -479,7 +498,7 @@ impl Cache {
                 // values into the next level: record them as stale.
                 if let Some(base) = wb_addr {
                     for (w, ws) in self.words[wbase..wbase + wpl].iter().enumerate() {
-                        if ws.poisoned {
+                        if ws.poisoned() {
                             self.poison_spill.push(base + 8 * w as u64);
                         }
                     }
@@ -489,11 +508,11 @@ impl Cache {
                 // propagated over the good copy below. The tag too (it
                 // addresses the write-back).
                 for ws in &mut self.words[wbase..wbase + wpl] {
-                    if now > ws.last_event {
+                    if now > ws.last_event() {
                         if let Some(t) = data_target {
-                            engine.bank(t, owner, 64, now - ws.last_event);
+                            engine.bank(t, owner, 64, now - ws.last_event());
                         }
-                        ws.last_event = now;
+                        ws.set_last_event(now);
                     }
                 }
                 if let Some(t) = tag_target {
@@ -510,11 +529,11 @@ impl Cache {
             line.lru = lru_now;
             line.tag_last = now;
             for ws in &mut self.words[wbase..wbase + wpl] {
-                ws.last_event = now;
+                ws.set_last_event(now);
                 // A clean victim's poison is healed by the fill; whether the
                 // *new* line's words are stale is decided by the hierarchy
                 // (it knows which memory words have lost their good copy).
-                ws.poisoned = false;
+                ws.set_poisoned(false);
             }
             (wb, wb_addr, wb_owner)
         };
@@ -562,7 +581,7 @@ impl Cache {
     /// [`Cache::decode_data`] strike): it now holds a corrupt value.
     pub fn poison_word(&mut self, line: u32, word: usize) {
         let wbase = self.word_base(line as usize);
-        self.words[wbase + word].poisoned = true;
+        self.words[wbase + word].set_poisoned(true);
     }
 
     /// Decode a strike on tag-array bit `bit` (taken modulo
@@ -606,7 +625,7 @@ impl Cache {
         self.lines[li].dirty = false;
         let wbase = self.word_base(li);
         for ws in &mut self.words[wbase..wbase + self.words_per_line] {
-            ws.poisoned = false;
+            ws.set_poisoned(false);
         }
         if was_dirty {
             for w in 0..self.words_per_line {
@@ -645,7 +664,7 @@ impl Cache {
                 .enumerate()
             {
                 if stale.contains(&(base + 8 * w as u64)) {
-                    ws.poisoned = true;
+                    ws.set_poisoned(true);
                 }
             }
         }
@@ -657,7 +676,7 @@ impl Cache {
             l.valid
                 && self.words[li * self.words_per_line..(li + 1) * self.words_per_line]
                     .iter()
-                    .any(|w| w.poisoned)
+                    .any(|w| w.poisoned())
         })
     }
 
@@ -677,7 +696,7 @@ impl Cache {
                 line.tag_last = line.tag_last.max(now);
                 let wbase = li * self.words_per_line;
                 for ws in &mut self.words[wbase..wbase + self.words_per_line] {
-                    ws.last_event = ws.last_event.max(now);
+                    ws.set_last_event(ws.last_event().max(now));
                 }
             }
         }
@@ -693,11 +712,11 @@ impl Cache {
             }
             let wbase = li * self.words_per_line;
             for ws in &mut self.words[wbase..wbase + self.words_per_line] {
-                if now > ws.last_event {
+                if now > ws.last_event() {
                     if let Some(t) = data_target {
-                        engine.bank(t, line.owner, 64, now - ws.last_event);
+                        engine.bank(t, line.owner, 64, now - ws.last_event());
                     }
-                    ws.last_event = now;
+                    ws.set_last_event(now);
                 }
             }
             if let Some(t) = tag_target {
@@ -862,6 +881,47 @@ mod tests {
         assert_eq!(c.word_range(0x7004, 8), (0, 1));
         assert_eq!(c.word_range(0x7000, 8), (0, 0));
         assert_eq!(c.word_range(0x7038, 8), (7, 7));
+    }
+
+    #[test]
+    fn word_state_packs_into_eight_bytes() {
+        assert_eq!(std::mem::size_of::<WordState>(), 8);
+    }
+
+    #[test]
+    fn word_state_cycle_and_poison_are_independent() {
+        for cycle in [0, 12_345, 1 << 62, (1 << 63) - 1] {
+            let mut ws = WordState::default();
+            ws.set_last_event(cycle / 2);
+            ws.set_poisoned(true);
+            assert_eq!(ws.last_event(), cycle / 2, "poisoning keeps the cycle");
+            ws.set_last_event(cycle);
+            assert!(ws.poisoned(), "advancing the cycle keeps the poison");
+            assert_eq!(ws.last_event(), cycle);
+            ws.set_poisoned(false);
+            assert_eq!(ws.last_event(), cycle, "healing keeps the cycle");
+            assert!(!ws.poisoned());
+        }
+    }
+
+    #[test]
+    fn write_heals_a_poisoned_word() {
+        let (mut c, mut e) = dl1();
+        let r = c.access(T0, 0x8000, 8, AccessKind::Read, 0, &mut e);
+        assert!(!r.hit);
+        let li = c.find_line(c.index_of(0x8000), c.tag_of(0x8000)).unwrap();
+        c.poison_word(li as u32, 0);
+        assert!(c.has_poison());
+        assert!(
+            c.access(T0, 0x8000, 8, AccessKind::Read, 10, &mut e)
+                .poisoned
+        );
+        c.access(T0, 0x8000, 8, AccessKind::Write, 20, &mut e);
+        assert!(!c.has_poison(), "the overwrite heals the word");
+        assert!(
+            !c.access(T0, 0x8000, 8, AccessKind::Read, 30, &mut e)
+                .poisoned
+        );
     }
 
     #[test]
