@@ -25,8 +25,8 @@
 //!    the speedup is trusted. Memory-bound mixes show the largest
 //!    multiple; full runs assert ≥1.5x on `4T-MEM-A`.
 //! 6. **Lane-parallel batched SFI** — the same checkpointed campaign
-//!    timed scalar (`lanes = 0`, one core per trial) and batched
-//!    (`lanes = 64`, trials riding a shared follower with lazy forking),
+//!    timed scalar (`TrialPath::Scalar`, one core per trial) and batched
+//!    (64 lanes, trials riding a shared follower with lazy forking),
 //!    asserting record-for-record identical results first. Both runs use
 //!    one worker so the ratio isolates the lane engine from pool scaling;
 //!    full runs assert ≥1.5x.
@@ -59,7 +59,7 @@
 //!   scale, where timing noise cannot fake a regression)
 //! * `PERFBENCH_OUT` — output path (default `BENCH_pipeline.json`)
 
-use sim_inject::{run_campaign, LaneStats};
+use sim_inject::{run_campaign, LaneStats, TrialPath};
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
 use sim_workload::{table2, SmtWorkload};
@@ -194,14 +194,12 @@ fn sfi_wallclock(trials: usize) -> (f64, f64, usize) {
     cc.workers = 1;
     // Scalar trials on both sides: this section times checkpointing alone;
     // the `lanes` section times the lane engine.
-    cc.lanes = 0;
-
-    cc.replay_from_zero = true;
+    cc.path = TrialPath::ReplayFromZero;
     let t0 = Instant::now();
     let oracle = run_campaign(factory, &cc).expect("oracle campaign");
     let oracle_secs = t0.elapsed().as_secs_f64();
 
-    cc.replay_from_zero = false;
+    cc.path = TrialPath::Scalar;
     let t0 = Instant::now();
     let checkpointed = run_campaign(factory, &cc).expect("checkpointed campaign");
     let checkpointed_secs = t0.elapsed().as_secs_f64();
@@ -218,14 +216,6 @@ fn sfi_wallclock(trials: usize) -> (f64, f64, usize) {
     (oracle_secs, checkpointed_secs, cc.checkpoints)
 }
 
-/// Time the checkpointed SFI campaign scalar (`lanes = 0`) and batched
-/// (`lanes = LANE_WIDTH`) and prove the records identical before returning
-/// `(scalar_secs, batched_secs, lane_stats)` — the stats carry the
-/// per-target fork rates the benchmark JSON records.
-///
-/// One worker on both sides: the ratio measures the lane engine alone, not
-/// pool scaling. The two dimensions compose — `run_trials_batched` hands
-/// whole batches to the same `sim_exec` pool the scalar path uses.
 /// Lane width the batched side of [`lanes_wallclock`] runs at: the full
 /// 64-bit mask width, so a 400-trial quick campaign needs only 7 batch
 /// windows (follower stepping amortizes across more riders per window).
@@ -324,6 +314,14 @@ fn service_wallclock(trials: usize, reps: usize) -> (f64, f64, u64) {
     (median(off), median(on), p99_chunk_publish_us)
 }
 
+/// Time the checkpointed SFI campaign on [`TrialPath::Scalar`] and
+/// batched at [`LANE_WIDTH`] and prove the records identical before
+/// returning `(scalar_secs, batched_secs, lane_stats)` — the stats carry
+/// the per-target fork rates the benchmark JSON records.
+///
+/// One worker on both sides: the ratio measures the lane engine alone, not
+/// pool scaling. The two dimensions compose — the batched executor hands
+/// whole batches to the same `sim_exec` pool the scalar path uses.
 fn lanes_wallclock(trials: usize) -> (f64, f64, LaneStats) {
     let w = table2()
         .into_iter()
@@ -341,12 +339,12 @@ fn lanes_wallclock(trials: usize) -> (f64, f64, LaneStats) {
     let mut cc = default_campaign(&w, trials, 12, ExperimentScale::quick());
     cc.workers = 1;
 
-    cc.lanes = 0;
+    cc.path = TrialPath::Scalar;
     let t0 = Instant::now();
     let scalar = run_campaign(factory, &cc).expect("scalar campaign");
     let scalar_secs = t0.elapsed().as_secs_f64();
 
-    cc.lanes = LANE_WIDTH;
+    cc.path = TrialPath::Batched { lanes: LANE_WIDTH };
     let t0 = Instant::now();
     let batched = run_campaign(factory, &cc).expect("batched campaign");
     let batched_secs = t0.elapsed().as_secs_f64();

@@ -50,8 +50,8 @@
 //! steps only the delta (`≤ window/K` cycles). Because a restored clone
 //! steps bit-identically to the original machine, the trial outcome is
 //! exactly what the replay-from-zero path produces; that path is kept
-//! behind [`CampaignConfig::replay_from_zero`] as the oracle the
-//! equivalence tests (and perfbench baseline timing) run against.
+//! as [`TrialPath::ReplayFromZero`], the oracle the equivalence tests
+//! (and perfbench baseline timing) run against.
 
 use avf_core::{SfiPoint, StructureId};
 use sim_model::rng::splitmix64;
@@ -200,7 +200,9 @@ pub struct CampaignConfig {
     /// Master seed: trial `i` samples from `splitmix64(seed, i)`.
     pub seed: u64,
     /// Worker threads (clamped to at least 1). The result is identical for
-    /// any value.
+    /// any value, but the store codec encodes it (as it does
+    /// [`progress`](CampaignConfig::progress)), so it is part of a stored
+    /// job's identity: the same campaign at 1 and 2 workers is two jobs.
     pub workers: usize,
     /// Simulation budget for the golden run and every trial.
     pub budget: SimBudget,
@@ -208,36 +210,16 @@ pub struct CampaignConfig {
     pub hang_cycles: u64,
     /// Snapshots captured across the golden window (clamped to at least
     /// 1); a trial replays at most `window / checkpoints` cycles before
-    /// injecting. Ignored when [`replay_from_zero`] is set.
-    ///
-    /// [`replay_from_zero`]: CampaignConfig::replay_from_zero
+    /// injecting. Ignored on [`TrialPath::ReplayFromZero`].
     pub checkpoints: usize,
-    /// Run every trial from cycle 0 (warmup + replay to the injection
-    /// cycle) instead of restoring a checkpoint. Slow; kept as the oracle
-    /// the checkpointed path is proven bit-identical against.
-    pub replay_from_zero: bool,
     /// Print a heartbeat progress line to stderr as trials complete
     /// (completed count + trials/s). Off by default; purely cosmetic —
     /// results are unaffected.
     pub progress: bool,
-    /// Idle-cycle fast-forwarding on the campaign's cores (on by
-    /// default). Records are bit-identical either way — every externally
-    /// scheduled cycle (injection, hang verdict, convergence check,
-    /// snapshot capture) bounds the clock jumps — so turning it off only
-    /// buys the cycle-by-cycle oracle the equivalence tests diff against.
-    pub fast_forward: bool,
-    /// Lane-parallel batched trials: group up to this many trials per
-    /// shared golden follower core (see [`sim_pipeline::LaneBatch`]),
-    /// clamped to 64; [`DEFAULT_LANES`] by default. `0` runs every trial
-    /// on the scalar per-trial path, the oracle the batched path is proven
-    /// bit-identical against. Requires the checkpointed golden path
-    /// (ignored under [`replay_from_zero`]). Purely an execution knob:
-    /// records are bit-identical for any value, so it is deliberately
-    /// excluded from the campaign store's job identity (a stored campaign
-    /// hashes and resumes the same regardless of lane count).
-    ///
-    /// [`replay_from_zero`]: CampaignConfig::replay_from_zero
-    pub lanes: usize,
+    /// How trials execute: batched by default, or one of the oracles the
+    /// fast paths are proven bit-identical against. Records are identical
+    /// on every path.
+    pub path: TrialPath,
     /// The structures to inject into.
     pub targets: Vec<FaultTarget>,
 }
@@ -250,6 +232,54 @@ pub const DEFAULT_CHECKPOINTS: usize = 12;
 /// carries as many riders as the batch plan can give it.
 pub const DEFAULT_LANES: usize = 64;
 
+/// How a campaign's trials execute. The default, [`TrialPath::Batched`],
+/// combines every fast path; each other variant turns exactly one of them
+/// off and is the oracle that fast path is proven bit-identical against.
+/// The campaign store encodes only the two distinctions the golden run
+/// depends on (checkpoints and fast-forward), so `Scalar` and any
+/// `Batched` width share one job identity and decode as the default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrialPath {
+    /// Checkpoints, fast-forward, and up to `lanes` trials riding one
+    /// shared golden follower core (see [`sim_pipeline::LaneBatch`]).
+    /// `lanes` is clamped to `1..=64`.
+    Batched { lanes: usize },
+    /// Checkpoints and fast-forward, one core per trial: the lane oracle.
+    Scalar,
+    /// [`TrialPath::Scalar`] with idle-cycle fast-forwarding off: the
+    /// fast-forward oracle. Every externally scheduled cycle (injection,
+    /// hang verdict, convergence check, snapshot capture) bounds the
+    /// clock jumps, so records match cycle-by-cycle stepping exactly.
+    CycleByCycle,
+    /// Every trial replays from cycle 0 (warm-up, then the window up to
+    /// its injection cycle) instead of restoring a snapshot: the
+    /// checkpoint oracle. Slow.
+    ReplayFromZero,
+}
+
+impl Default for TrialPath {
+    fn default() -> TrialPath {
+        TrialPath::Batched {
+            lanes: DEFAULT_LANES,
+        }
+    }
+}
+
+impl TrialPath {
+    /// Idle-cycle fast-forwarding on the campaign's cores.
+    fn fast_forward(self) -> bool {
+        self != TrialPath::CycleByCycle
+    }
+
+    /// The clamped lane width; `None` off the batched path.
+    fn lanes(self) -> Option<usize> {
+        match self {
+            TrialPath::Batched { lanes } => Some(lanes.clamp(1, 64)),
+            _ => None,
+        }
+    }
+}
+
 impl CampaignConfig {
     /// A campaign over the structures the cross-validation report covers.
     pub fn new(trials_per_structure: usize, seed: u64, budget: SimBudget) -> CampaignConfig {
@@ -260,10 +290,8 @@ impl CampaignConfig {
             budget,
             hang_cycles: 20_000,
             checkpoints: DEFAULT_CHECKPOINTS,
-            replay_from_zero: false,
             progress: false,
-            fast_forward: true,
-            lanes: DEFAULT_LANES,
+            path: TrialPath::default(),
             targets: vec![
                 FaultTarget::Iq,
                 FaultTarget::Rob,
@@ -466,8 +494,8 @@ pub struct CampaignMetrics {
     pub early_exits: u64,
     /// Restore-distance stats; `None` on the replay-from-zero oracle path.
     pub restore: Option<RestoreStats>,
-    /// Per-target lane-batch classification; `None` when the campaign ran
-    /// the scalar per-trial path.
+    /// Per-target lane-batch classification; `None` off
+    /// [`TrialPath::Batched`].
     pub lane_stats: Option<LaneStats>,
 }
 
@@ -942,16 +970,16 @@ pub struct TrialExec {
     pub restore_distance: Option<u64>,
 }
 
-/// Wrap `factory` so every core it builds inherits the campaign's
+/// Wrap `factory` so every core it builds inherits the trial path's
 /// fast-forward setting.
-fn configured_factory<S, F>(factory: &F, fast_forward: bool) -> impl Fn() -> SmtCore<S> + '_
+fn configured_factory<S, F>(factory: &F, path: TrialPath) -> impl Fn() -> SmtCore<S> + '_
 where
     S: InstSource,
     F: Fn() -> SmtCore<S>,
 {
     move || {
         let mut core = factory();
-        core.set_fast_forward(fast_forward);
+        core.set_fast_forward(path.fast_forward());
         core
     }
 }
@@ -973,9 +1001,8 @@ pub struct PreparedCampaign<S> {
 }
 
 impl<S: InstSource + Clone> PreparedCampaign<S> {
-    /// Validate `cfg` and run the golden pass(es): checkpointed by
-    /// default, plain when [`CampaignConfig::replay_from_zero`] asks for
-    /// the oracle path.
+    /// Validate `cfg` and run the golden pass(es): checkpointed, or plain
+    /// on [`TrialPath::ReplayFromZero`].
     pub fn prepare<F>(factory: &F, cfg: &CampaignConfig) -> Result<PreparedCampaign<S>, InjectError>
     where
         F: Fn() -> SmtCore<S>,
@@ -986,12 +1013,13 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
         if cfg.trials_per_structure == 0 {
             return Err(InjectError::ZeroTrials);
         }
-        let factory = configured_factory(factory, cfg.fast_forward);
-        let (checkpointed, plain_golden) = if cfg.replay_from_zero {
-            (None, Some(run_golden(&factory, cfg.budget)?))
-        } else {
-            let c = run_golden_checkpointed(&factory, cfg.budget, cfg.checkpoints)?;
-            (Some(c), None)
+        let factory = configured_factory(factory, cfg.path);
+        let (checkpointed, plain_golden) = match cfg.path {
+            TrialPath::ReplayFromZero => (None, Some(run_golden(&factory, cfg.budget)?)),
+            _ => {
+                let c = run_golden_checkpointed(&factory, cfg.budget, cfg.checkpoints)?;
+                (Some(c), None)
+            }
         };
         let machine = factory().config().clone();
         Ok(PreparedCampaign {
@@ -1082,7 +1110,7 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
     }
 
     /// Execute trial `index`: restore/replay, inject, run out, classify.
-    /// `factory` is only consulted on the replay-from-zero oracle path
+    /// `factory` is only consulted on [`TrialPath::ReplayFromZero`]
     /// (checkpointed trials clone a snapshot instead).
     pub fn run_index<F>(&self, factory: &F, index: usize) -> TrialExec
     where
@@ -1095,7 +1123,7 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
                 finish_trial(core, &c.golden, s.fault, s.cycle, self.cfg.hang_cycles)
             }
             None => {
-                let factory = configured_factory(factory, self.cfg.fast_forward);
+                let factory = configured_factory(factory, self.cfg.path);
                 let core = warmed_core(&factory, self.cfg.budget);
                 finish_trial(core, self.golden(), s.fault, s.cycle, self.cfg.hang_cycles)
             }
@@ -1471,47 +1499,15 @@ fn run_one_batch<S: InstSource + Clone>(
     (execs, stats)
 }
 
-/// Execute the trial range `[start, start + len)` with
-/// [`CampaignConfig::lanes`]-way batching, returning execs in trial-index
-/// order — bit-identical to the scalar per-trial path (and to itself at
-/// any worker count; a batch is the pool's job unit and results scatter
-/// by global index). Falls back to the scalar path when `lanes == 0` or
-/// the campaign was prepared without checkpoints.
-pub fn run_trials_batched<S, F>(
-    prepared: &PreparedCampaign<S>,
-    factory: &F,
-    start: usize,
-    len: usize,
-    workers: usize,
-) -> Vec<TrialExec>
-where
-    S: InstSource + Clone + Sync,
-    F: Fn() -> SmtCore<S> + Sync,
-{
-    run_trials_batched_stats(prepared, factory, start, len, workers).0
-}
-
-/// [`run_trials_batched`] plus the worker pool's scheduling stats.
-pub fn run_trials_batched_stats<S, F>(
-    prepared: &PreparedCampaign<S>,
-    factory: &F,
-    start: usize,
-    len: usize,
-    workers: usize,
-) -> (Vec<TrialExec>, sim_exec::PoolStats)
-where
-    S: InstSource + Clone + Sync,
-    F: Fn() -> SmtCore<S> + Sync,
-{
-    let (execs, pool, _) = run_trials_batched_full(prepared, factory, start, len, workers);
-    (execs, pool)
-}
-
-/// [`run_trials_batched`] plus the worker pool's scheduling stats and the
-/// lane engine's per-target classification tally. The tally is `None`
-/// when the range fell back to the scalar per-trial path (`lanes == 0`,
-/// no checkpoints, or an empty range); otherwise it is deterministic —
-/// batches merge in plan order, which no worker count can reshuffle.
+/// Execute the trial range `[start, start + len)` on the prepared
+/// campaign's [`TrialPath`], returning execs in trial-index order plus the
+/// worker pool's scheduling stats and the lane engine's per-target
+/// classification tally. Every path gives the same records at any worker
+/// count: the batched path's batch is the pool's job unit and results
+/// scatter by global index; every other path runs one trial per job. The
+/// tally is `None` off the batched path (or for an empty range);
+/// otherwise it is deterministic — batches merge in plan order, which no
+/// worker count can reshuffle.
 pub fn run_trials_batched_full<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
@@ -1523,33 +1519,38 @@ where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    let lanes = prepared.cfg.lanes.min(64);
-    if lanes == 0 || prepared.checkpointed.is_none() || len == 0 {
-        let (execs, pool) =
-            sim_exec::run_indexed_stats(len, workers, |i| prepared.run_index(factory, start + i));
-        return (execs, pool, None);
-    }
-    let batches = plan_batches(prepared, start, len, lanes);
-
     // Heartbeat bookkeeping (stderr only; results are unaffected).
     let t0 = std::time::Instant::now();
     let completed = std::sync::atomic::AtomicU64::new(0);
     let heartbeat_stride = (len as u64 / 20).max(1);
+    let path = prepared.cfg.path;
+    let heartbeat = |n: u64| {
+        if !prepared.cfg.progress {
+            return;
+        }
+        let done = completed.fetch_add(n, std::sync::atomic::Ordering::Relaxed) + n;
+        if done / heartbeat_stride != (done - n) / heartbeat_stride || done == len as u64 {
+            let secs = t0.elapsed().as_secs_f64();
+            let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
+            eprintln!("[sfi] {done}/{len} trials ({rate:.1}/s, {path:?})");
+        }
+    };
 
+    let lanes = match path.lanes() {
+        Some(lanes) if len > 0 => lanes,
+        _ => {
+            let (execs, pool) = sim_exec::run_indexed_stats(len, workers, |i| {
+                let exec = prepared.run_index(factory, start + i);
+                heartbeat(1);
+                exec
+            });
+            return (execs, pool, None);
+        }
+    };
+    let batches = plan_batches(prepared, start, len, lanes);
     let (per_batch, stats) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
         let (execs, batch_stats) = run_one_batch(prepared, &batches[b]);
-        if prepared.cfg.progress {
-            let done = completed
-                .fetch_add(execs.len() as u64, std::sync::atomic::Ordering::Relaxed)
-                + execs.len() as u64;
-            if done / heartbeat_stride != (done - execs.len() as u64) / heartbeat_stride
-                || done == len as u64
-            {
-                let secs = t0.elapsed().as_secs_f64();
-                let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-                eprintln!("[sfi] {done}/{len} trials ({rate:.1}/s, {lanes} lanes)");
-            }
-        }
+        heartbeat(execs.len() as u64);
         (execs, batch_stats)
     });
     let mut out: Vec<Option<TrialExec>> = vec![None; len];
@@ -1605,10 +1606,9 @@ pub fn summarize(
         .collect()
 }
 
-/// Run a full campaign: golden run (checkpointed unless
-/// [`CampaignConfig::replay_from_zero`] asks for the oracle path), then
-/// `trials_per_structure` trials per target executed by `workers` scoped
-/// threads.
+/// Run a full campaign: golden run (checkpointed unless the path is
+/// [`TrialPath::ReplayFromZero`]), then `trials_per_structure` trials per
+/// target executed by `workers` scoped threads on [`CampaignConfig::path`].
 pub fn run_campaign<S, F>(factory: F, cfg: &CampaignConfig) -> Result<CampaignResult, InjectError>
 where
     S: InstSource + Clone + Sync,
@@ -1621,36 +1621,15 @@ where
     let golden_secs = golden_t0.elapsed().as_secs_f64();
     let total = prepared.total_trials();
 
-    // Heartbeat bookkeeping (stderr only; results are unaffected).
-    let trials_t0 = std::time::Instant::now();
-    let completed = std::sync::atomic::AtomicU64::new(0);
-    let heartbeat_stride = (total as u64 / 20).max(1);
-
     // Each trial is a pure function of the prepared state and its global
     // index, so the sim-exec pool's index-ordered merge makes the record
-    // vector bit-identical for any worker count — and, because a restored
-    // snapshot steps bit-identically to a from-zero replay, also identical
-    // between the checkpointed and oracle paths. The per-trial metrics
-    // (early exit, restore distance) ride alongside each record. With
-    // `lanes > 0` the batched engine groups trials onto shared follower
-    // cores — same records, proven by the lane-equivalence tests.
-    let (trials, pool_stats, lane_stats) = if cfg.lanes > 0 && !cfg.replay_from_zero {
-        run_trials_batched_full(&prepared, &factory, 0, total, cfg.workers)
-    } else {
-        let (trials, pool_stats) = sim_exec::run_indexed_stats(total, cfg.workers, |i| {
-            let exec = prepared.run_index(&factory, i);
-            if cfg.progress {
-                let done = completed.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-                if done.is_multiple_of(heartbeat_stride) || done == total as u64 {
-                    let secs = trials_t0.elapsed().as_secs_f64();
-                    let rate = if secs > 0.0 { done as f64 / secs } else { 0.0 };
-                    eprintln!("[sfi] {done}/{total} trials ({rate:.1}/s)");
-                }
-            }
-            exec
-        });
-        (trials, pool_stats, None)
-    };
+    // vector bit-identical for any worker count — and, because every
+    // trial path is proven bit-identical to its oracle, for any
+    // `cfg.path`. The per-trial metrics (early exit, restore distance)
+    // ride alongside each record.
+    let trials_t0 = std::time::Instant::now();
+    let (trials, pool_stats, lane_stats) =
+        run_trials_batched_full(&prepared, &factory, 0, total, cfg.workers);
     let trial_secs = trials_t0.elapsed().as_secs_f64();
 
     let mut records = Vec::with_capacity(trials.len());

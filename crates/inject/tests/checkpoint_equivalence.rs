@@ -2,8 +2,8 @@
 //! the replay-from-zero oracle — at every worker count, and trial by
 //! trial, not just in aggregate.
 //!
-//! `CampaignConfig::replay_from_zero` keeps the slow path alive precisely
-//! so this test can hold the fast path to it. The golden capture itself
+//! `TrialPath::ReplayFromZero` keeps the slow path alive precisely so
+//! this test can hold the fast path to it. The golden capture itself
 //! is held to a two-pass reference (warm up, run the window; warm up
 //! again, step to each checkpoint), so stores fingerprinted before the
 //! single-warm-up capture still resume.
@@ -34,20 +34,22 @@ fn budget() -> SimBudget {
     SimBudget::total_instructions(2_500).with_warmup(1_000)
 }
 
-fn campaign(workers: usize, replay_from_zero: bool) -> CampaignConfig {
+/// The oracle is `ReplayFromZero`; the fast side is the scalar
+/// checkpointed path (the lane engine has its own proofs).
+fn campaign(workers: usize, path: TrialPath) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(5, 0xBADC0DE, budget());
     cfg.workers = workers;
-    cfg.replay_from_zero = replay_from_zero;
-    // The scalar checkpointed path; the lane engine has its own proofs.
-    cfg.lanes = 0;
+    cfg.path = path;
     cfg
 }
 
 #[test]
 fn checkpointed_campaign_matches_replay_from_zero_at_1_2_and_4_workers() {
-    let oracle = run_campaign(factory, &campaign(1, true)).expect("oracle campaign runs");
+    let oracle = run_campaign(factory, &campaign(1, TrialPath::ReplayFromZero))
+        .expect("oracle campaign runs");
     for workers in [1usize, 2, 4] {
-        let fast = run_campaign(factory, &campaign(workers, false)).expect("campaign runs");
+        let fast =
+            run_campaign(factory, &campaign(workers, TrialPath::Scalar)).expect("campaign runs");
         assert_eq!(oracle.window, fast.window, "{workers} workers");
         assert_eq!(
             oracle.records, fast.records,

@@ -3,9 +3,9 @@
 //! workers = 1/2/4, and the read-only fault probe must agree with the
 //! real injection's landing on every sampled strike.
 //!
-//! `CampaignConfig::lanes = 0` keeps the scalar path alive precisely so
-//! this test can hold the batched path to it (the same pattern as the
-//! checkpoint and fast-forward equivalence proofs).
+//! `TrialPath::Scalar` keeps the scalar path alive precisely so this test
+//! can hold the batched path to it (the same pattern as the checkpoint
+//! and fast-forward equivalence proofs).
 
 use sim_inject::*;
 use sim_model::MachineConfig;
@@ -26,20 +26,21 @@ fn budget() -> SimBudget {
     SimBudget::total_instructions(2_500).with_warmup(1_000)
 }
 
-fn campaign(workers: usize, lanes: usize) -> CampaignConfig {
+fn campaign(workers: usize, path: TrialPath) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(5, 0xBADC0DE, budget());
     cfg.workers = workers;
-    cfg.lanes = lanes;
+    cfg.path = path;
     cfg
 }
 
 #[test]
 fn batched_campaign_matches_scalar_oracle_at_every_lane_and_worker_count() {
-    let oracle = run_campaign(factory, &campaign(1, 0)).expect("scalar campaign runs");
+    let oracle =
+        run_campaign(factory, &campaign(1, TrialPath::Scalar)).expect("scalar campaign runs");
     for lanes in [1usize, 4, 8, 64] {
         for workers in [1usize, 2, 4] {
-            let batched =
-                run_campaign(factory, &campaign(workers, lanes)).expect("batched campaign runs");
+            let batched = run_campaign(factory, &campaign(workers, TrialPath::Batched { lanes }))
+                .expect("batched campaign runs");
             assert_eq!(
                 oracle.window, batched.window,
                 "{lanes} lanes, {workers} workers"
@@ -59,11 +60,11 @@ fn batched_campaign_matches_scalar_oracle_at_every_lane_and_worker_count() {
 
 #[test]
 fn batched_trial_range_matches_scalar_execs_including_metrics() {
-    // run_trials_batched is the store's chunk entry point: hold a chunk's
-    // worth of TrialExecs (records *and* the early-exit / restore-distance
-    // diagnostics) to the scalar path, over an offset range so the
-    // start/len plumbing is exercised too.
-    let cfg = campaign(1, 4);
+    // run_trials_batched_full is the store's chunk entry point: hold a
+    // chunk's worth of TrialExecs (records *and* the early-exit /
+    // restore-distance diagnostics) to the scalar path, over an offset
+    // range so the start/len plumbing is exercised too.
+    let cfg = campaign(1, TrialPath::Batched { lanes: 4 });
     let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
     let total = prepared.total_trials();
     let (start, len) = (3, total - 5);
@@ -71,24 +72,26 @@ fn batched_trial_range_matches_scalar_execs_including_metrics() {
         .map(|i| prepared.run_index(&factory, start + i))
         .collect();
     for workers in [1usize, 2, 4] {
-        let batched = run_trials_batched(&prepared, &factory, start, len, workers);
+        let (batched, _, lane_stats) =
+            run_trials_batched_full(&prepared, &factory, start, len, workers);
         assert_eq!(scalar, batched, "{workers} workers");
+        assert!(lane_stats.is_some(), "{workers} workers: range ran batched");
     }
 }
 
 #[test]
-fn lanes_on_a_scalar_prepared_campaign_fall_back_to_the_oracle() {
-    // lanes set together with replay_from_zero: no checkpoints exist, so
-    // the batched entry point must fall back to (and match) the oracle.
-    let mut cfg = campaign(1, 8);
-    cfg.replay_from_zero = true;
+fn executor_on_a_replay_from_zero_campaign_matches_run_index() {
+    // No checkpoints exist on the replay-from-zero path, so the executor
+    // runs its scalar branch, which must match per-index execution.
+    let cfg = campaign(1, TrialPath::ReplayFromZero);
     let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
     let total = prepared.total_trials();
     let scalar: Vec<TrialExec> = (0..total)
         .map(|i| prepared.run_index(&factory, i))
         .collect();
-    let batched = run_trials_batched(&prepared, &factory, 0, total, 2);
-    assert_eq!(scalar, batched);
+    let (execs, _, lane_stats) = run_trials_batched_full(&prepared, &factory, 0, total, 2);
+    assert_eq!(scalar, execs);
+    assert!(lane_stats.is_none(), "the oracle path never batches");
 }
 
 #[test]
@@ -97,7 +100,7 @@ fn probe_agrees_with_injection_on_every_sampled_strike() {
     // injection cycle, probe (read-only), then inject for real: the probe
     // must predict the landing exactly, and the metadata-probe classes
     // must match what injection actually mutated.
-    let cfg = campaign(1, 0);
+    let cfg = campaign(1, TrialPath::Scalar);
     let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
     let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
     let mut checked = 0u64;

@@ -37,21 +37,23 @@ fn mem_targets() -> Vec<FaultTarget> {
     ]
 }
 
-fn campaign(trials: usize, workers: usize, lanes: usize) -> CampaignConfig {
+fn campaign(trials: usize, workers: usize, path: TrialPath) -> CampaignConfig {
     let mut cfg = CampaignConfig::new(trials, 0x5EED5 + trials as u64, budget());
     cfg.workers = workers;
-    cfg.lanes = lanes;
+    cfg.path = path;
     cfg.targets = mem_targets();
     cfg
 }
 
 #[test]
 fn resident_campaign_matches_scalar_oracle_at_every_lane_and_worker_count() {
-    let oracle = run_campaign(factory, &campaign(8, 1, 0)).expect("scalar campaign runs");
+    let oracle =
+        run_campaign(factory, &campaign(8, 1, TrialPath::Scalar)).expect("scalar campaign runs");
     for lanes in [1usize, 8, 64] {
         for workers in [1usize, 2, 4] {
             let batched =
-                run_campaign(factory, &campaign(8, workers, lanes)).expect("batched campaign runs");
+                run_campaign(factory, &campaign(8, workers, TrialPath::Batched { lanes }))
+                    .expect("batched campaign runs");
             assert_eq!(
                 oracle.records, batched.records,
                 "cache/TLB records diverged from the scalar oracle at \
@@ -70,7 +72,7 @@ fn resident_watches_actually_resolve_without_forking() {
     // The equivalence above would hold vacuously if every cache/TLB strike
     // still forked; require that a meaningful share resolved on the
     // follower (resident) and that the tally tiles the campaign exactly.
-    let cfg = campaign(16, 2, 64);
+    let cfg = campaign(16, 2, TrialPath::Batched { lanes: 64 });
     let result = run_campaign(factory, &cfg).expect("batched campaign runs");
     let stats = result
         .metrics
@@ -104,11 +106,11 @@ fn batch_boundary_at_exactly_64_and_65_trials() {
     for trials in [64usize, 65] {
         let mut scalar = CampaignConfig::new(trials, 0xB0DA + trials as u64, budget());
         scalar.workers = 1;
-        scalar.lanes = 0;
+        scalar.path = TrialPath::Scalar;
         scalar.checkpoints = 1;
         scalar.targets = vec![FaultTarget::Dl1Data];
         let mut batched = scalar.clone();
-        batched.lanes = 64;
+        batched.path = TrialPath::Batched { lanes: 64 };
         batched.workers = 2;
         let oracle = run_campaign(factory, &scalar).expect("scalar campaign runs");
         let lanes = run_campaign(factory, &batched).expect("batched campaign runs");

@@ -3,7 +3,7 @@
 //! ```text
 //! sim-serve submit --store DIR --workload NAME [--trials N] [--seed S]
 //!                  [--worker-procs P] [--chunk N] [--scale quick|default]
-//!                  [--workers W] [--checkpoints K] [--lanes L]
+//!                  [--workers W] [--checkpoints K] [--scalar]
 //!                  [--targets a,b,...] [--name LABEL]
 //!                  [--enqueue QUEUE_DIR]
 //! sim-serve serve  --store DIR --queue DIR [--worker-procs P] [--once]
@@ -43,10 +43,11 @@ fn usage() -> String {
      \n\
      submit --store DIR --workload NAME [--trials N] [--seed S] [--workers W]\n\
      \x20      [--worker-procs P] [--chunk N] [--scale quick|default]\n\
-     \x20      [--checkpoints K] [--lanes L] [--targets a,b,...]\n\
+     \x20      [--checkpoints K] [--scalar] [--targets a,b,...]\n\
      \x20      [--name LABEL] [--enqueue QUEUE_DIR] [--no-metrics]\n\
-     \x20      (--lanes L: trials per lane batch, default 64; 0 runs the\n\
-     \x20      scalar per-trial oracle. Not part of the job identity.)\n\
+     \x20      (--scalar: one core per trial, the oracle the default lane\n\
+     \x20      batching is proven against. In process only; not part of\n\
+     \x20      the job identity.)\n\
      serve  --store DIR --queue DIR [--worker-procs P] [--poll-ms N]\n\
      \x20      [--metrics-every N] [--no-metrics] [--once]\n\
      status --store DIR [--watch] [--interval-ms N]\n\
@@ -167,10 +168,12 @@ fn spec_from_flags(flags: &Flags) -> Result<JobSpec, String> {
         cfg.workers = workers;
     }
     cfg.checkpoints = flags.parse_num("--checkpoints", cfg.checkpoints)?.max(1);
-    // Execution knob only: lanes is deliberately outside the job identity
-    // (the spec hashes and resumes the same for any lane count, because
-    // the batched engine is proven bit-identical to the scalar path).
-    cfg.lanes = flags.parse_num("--lanes", cfg.lanes)?;
+    // Outside the job identity: the spec hashes and resumes the same
+    // either way, because the batched engine is proven bit-identical to
+    // the scalar path.
+    if flags.has("--scalar") {
+        cfg.path = sim_inject::TrialPath::Scalar;
+    }
     if let Some(list) = flags.get("--targets") {
         cfg.targets = list
             .split(',')
@@ -212,12 +215,20 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
         "--chunk",
         "--scale",
         "--checkpoints",
-        "--lanes",
+        "--scalar",
         "--targets",
         "--name",
         "--enqueue",
         "--no-metrics",
     ])?;
+    let worker_procs: usize = flags.parse_num("--worker-procs", 0)?;
+    // The trial path is off the wire, so a worker process or a queued
+    // job would decode the spec and silently run batched.
+    if flags.has("--scalar") && (worker_procs >= 2 || flags.has("--enqueue")) {
+        return Err("--scalar runs in process only: it cannot be combined with \
+                    --worker-procs 2 or more, or with --enqueue (try --help)"
+            .to_string());
+    }
     let spec = spec_from_flags(flags)?;
     let job = spec.id();
     if let Some(queue) = flags.get("--enqueue") {
@@ -226,7 +237,6 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
         return Ok(());
     }
     let store = PathBuf::from(flags.require("--store")?);
-    let worker_procs: usize = flags.parse_num("--worker-procs", 0)?;
     metrics::set_enabled(!flags.has("--no-metrics"));
     eprintln!(
         "sim-serve: job {} ({}): workload {}, {} trials x {} targets, chunk {}, {}",
@@ -515,7 +525,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let cmd = args.remove(0);
-    let bare: &[&str] = &["--once", "--watch", "--no-metrics"];
+    let bare: &[&str] = &["--once", "--watch", "--no-metrics", "--scalar"];
     let run = || -> Result<(), String> {
         match cmd.as_str() {
             "worker" => server::worker_main(),

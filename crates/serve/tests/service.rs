@@ -26,7 +26,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// The quick campaign every test submits: tiny but real (two targets,
 /// chunk smaller than the trial count so resume has several chunks to
 /// work with).
-fn submit(store: &Path, extra: &[(&str, &str)], procs: usize) -> Output {
+fn submit_cmd(store: &Path) -> Command {
     let mut cmd = Command::new(EXE);
     cmd.args(["submit", "--store", store.to_str().unwrap()]);
     cmd.args([
@@ -43,10 +43,15 @@ fn submit(store: &Path, extra: &[(&str, &str)], procs: usize) -> Output {
         "--workers",
         "1",
     ]);
+    cmd.env_remove("SIM_STORE_CRASH_AFTER_CHUNKS");
+    cmd
+}
+
+fn submit(store: &Path, extra: &[(&str, &str)], procs: usize) -> Output {
+    let mut cmd = submit_cmd(store);
     if procs > 1 {
         cmd.args(["--worker-procs", &procs.to_string()]);
     }
-    cmd.env_remove("SIM_STORE_CRASH_AFTER_CHUNKS");
     for (k, v) in extra {
         cmd.env(k, v);
     }
@@ -427,4 +432,44 @@ fn result_record_decodes_from_the_store() {
     assert_eq!(result.records.len(), 8, "4 trials x 2 targets");
     assert_eq!(result.per_target.len(), 2);
     assert_eq!(bytes, encode_record(&result), "round-trip byte identity");
+}
+
+#[test]
+fn scalar_runs_in_process_only() {
+    // The trial path is off the wire: a worker process or a queued job
+    // decodes the spec and would run batched, so submit refuses those.
+    let dir = fresh_dir("scalar-refused");
+    let queue = dir.join("queue");
+    for extra in [
+        ["--worker-procs", "2"],
+        ["--enqueue", queue.to_str().unwrap()],
+    ] {
+        let out = submit_cmd(&dir)
+            .arg("--scalar")
+            .args(extra)
+            .output()
+            .expect("spawn sim-serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("--scalar runs in process only"),
+            "{extra:?}: {stderr}"
+        );
+    }
+    assert!(!dir.exists(), "a refused submit touches no store or queue");
+
+    // In process, the scalar oracle publishes the default path's bytes.
+    let batched = fresh_dir("scalar-batched");
+    assert!(submit(&batched, &[], 1).status.success());
+    let scalar = fresh_dir("scalar-oracle");
+    let out = submit_cmd(&scalar)
+        .arg("--scalar")
+        .output()
+        .expect("spawn sim-serve");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(result_bytes(&scalar), result_bytes(&batched));
 }

@@ -464,12 +464,12 @@ where
 }
 
 /// Execute one chunk's trials on `workers` threads; records come back in
-/// trial-index order regardless of scheduling. Honors the prepared
-/// campaign's [`CampaignConfig::lanes`] knob — lane batching changes only
+/// trial-index order regardless of scheduling. Runs the prepared
+/// campaign's [`CampaignConfig::path`] — every trial path changes only
 /// wall clock, never the records, so stored chunks (and the object ids
 /// derived from them) are byte-identical for any lane count.
 ///
-/// [`CampaignConfig::lanes`]: sim_inject::CampaignConfig::lanes
+/// [`CampaignConfig::path`]: sim_inject::CampaignConfig::path
 pub fn run_chunk<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
@@ -480,7 +480,8 @@ where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    sim_inject::run_trials_batched(prepared, factory, plan.start, plan.len, workers)
+    sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers)
+        .0
         .into_iter()
         .map(|exec| exec.record)
         .collect()

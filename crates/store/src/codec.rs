@@ -20,7 +20,7 @@
 use crate::record::{parse_frame, CodecError};
 use crate::wire::{Decoder, Encoder, WireError};
 use avf_core::{AvfReport, SfiPoint, StructureAvf, StructureId};
-use sim_inject::{CampaignConfig, Outcome, TargetSummary, TrialRecord};
+use sim_inject::{CampaignConfig, Outcome, TargetSummary, TrialPath, TrialRecord};
 use sim_model::OpClass;
 use sim_pipeline::{FaultTarget, Landing, RetiredInst, SimBudget};
 
@@ -273,9 +273,11 @@ impl Codec for CampaignConfig {
         self.budget.encode_body(e);
         e.put_u64(self.hang_cycles);
         e.put_usize(self.checkpoints);
-        e.put_bool(self.replay_from_zero);
+        // The trial path rides as the two bools the golden run depends
+        // on; `Scalar` and every `Batched` width encode like the default.
+        e.put_bool(self.path == TrialPath::ReplayFromZero);
         e.put_bool(self.progress);
-        e.put_bool(self.fast_forward);
+        e.put_bool(self.path != TrialPath::CycleByCycle);
         e.put_usize(self.targets.len());
         for &t in &self.targets {
             put_fault_target(e, t);
@@ -292,6 +294,21 @@ impl Codec for CampaignConfig {
         let replay_from_zero = d.get_bool()?;
         let progress = d.get_bool()?;
         let fast_forward = d.get_bool()?;
+        // Lane width and `Scalar` never change a record, so they stay off
+        // the wire and out of job identity; decoded specs batch.
+        let path = match (replay_from_zero, fast_forward) {
+            (false, true) => TrialPath::default(),
+            (true, true) => TrialPath::ReplayFromZero,
+            (false, false) => TrialPath::CycleByCycle,
+            // No path replays from zero cycle by cycle; the tag packs the
+            // pair as `replay_from_zero << 1 | fast_forward`.
+            (true, false) => {
+                return Err(WireError::BadEnum {
+                    ty: "TrialPath",
+                    value: 0b10,
+                })
+            }
+        };
         let n = d.get_usize()?;
         let mut targets = Vec::with_capacity(n.min(64));
         for _ in 0..n {
@@ -304,16 +321,8 @@ impl Codec for CampaignConfig {
             budget,
             hang_cycles,
             checkpoints,
-            replay_from_zero,
             progress,
-            fast_forward,
-            // Deliberately not on the wire: lane batching is an execution
-            // knob with no effect on the records, and keeping it out of
-            // the encoding keeps a job's identity (and its stored bytes)
-            // lane-count-independent. Decoded specs (sharded workers,
-            // queued jobs) batch at the library default; in-process
-            // callers set `lanes` on the config they pass in.
-            lanes: sim_inject::DEFAULT_LANES,
+            path,
             targets,
         })
     }

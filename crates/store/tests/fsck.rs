@@ -2,7 +2,7 @@
 //! misnamed, undecodable, or dangling entry is reported dirty, and
 //! pinpoints each damaged path.
 
-use sim_inject::{CampaignConfig, TrialRecord};
+use sim_inject::{CampaignConfig, TrialPath, TrialRecord};
 use sim_pipeline::{FaultTarget, Landing, SimBudget};
 use sim_store::{encode_record, ChunkRecord, CoreSnapshot, JobSpec, ObjectId, Store};
 use std::fs;
@@ -29,10 +29,8 @@ fn sample_spec() -> JobSpec {
             },
             hang_cycles: 10,
             checkpoints: 1,
-            replay_from_zero: false,
             progress: false,
-            fast_forward: false,
-            lanes: 0,
+            path: TrialPath::CycleByCycle,
             targets: vec![FaultTarget::Iq],
         },
         chunk_trials: 2,

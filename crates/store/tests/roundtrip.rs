@@ -3,12 +3,12 @@
 //! value equality — including boundary values and empty campaigns.
 
 use avf_core::{AvfReport, SfiPoint, StructureAvf, StructureId};
-use sim_inject::{CampaignConfig, GoldenRun, Outcome, TargetSummary, TrialRecord};
+use sim_inject::{CampaignConfig, GoldenRun, Outcome, TargetSummary, TrialPath, TrialRecord};
 use sim_model::OpClass;
 use sim_pipeline::{FaultTarget, Landing, RetiredInst, SimBudget};
 use sim_store::{
-    decode_record, encode_record, fsck_decode, ChunkRecord, Codec, CodecError, CoreSnapshot,
-    GoldenFingerprint, JobResultRecord, JobSpec, ObjectId,
+    decode_record, encode_record, fnv1a64, fsck_decode, ChunkRecord, Codec, CodecError,
+    CoreSnapshot, GoldenFingerprint, JobResultRecord, JobSpec, ObjectId, WireError,
 };
 
 /// The property: a record decodes, re-encodes to the same bytes, and
@@ -134,10 +134,8 @@ fn campaign_config_full_and_empty() {
         },
         hang_cycles: u64::MAX,
         checkpoints: 0,
-        replay_from_zero: true,
         progress: false,
-        fast_forward: true,
-        lanes: 0,
+        path: TrialPath::ReplayFromZero,
         targets: ALL_TARGETS.to_vec(),
     };
     assert_roundtrip(&full);
@@ -276,10 +274,8 @@ fn spec(targets: Vec<FaultTarget>, trials: usize) -> JobSpec {
             },
             hang_cycles: 1000,
             checkpoints: 4,
-            replay_from_zero: false,
             progress: false,
-            fast_forward: true,
-            lanes: 0,
+            path: TrialPath::Scalar,
             targets,
         },
         chunk_trials: 32,
@@ -332,6 +328,109 @@ fn job_records_roundtrip_including_empty_campaign() {
         }],
         report: AvfReport::new(9, vec![4, 5], Vec::new()),
     });
+}
+
+/// A spec built the way the CLIs build one: `CampaignConfig::new`, with
+/// only the machine-dependent worker count fixed.
+fn pinned_spec(path: TrialPath) -> JobSpec {
+    let mut cfg = CampaignConfig::new(
+        10,
+        12,
+        SimBudget {
+            warmup_instructions: 2_000,
+            total_instructions: 6_000,
+            max_cycles: 1_000_000,
+        },
+    );
+    cfg.workers = 2;
+    cfg.path = path;
+    JobSpec {
+        name: "pin".to_string(),
+        workload: "2T-MIX-A".to_string(),
+        cfg,
+        chunk_trials: 3,
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn trial_path_encoding_keeps_job_identity() {
+    // Bytes and ids that earlier builds stored for these specs: a job
+    // must keep hashing to the same id, or resume would miss its chunks.
+    let default = pinned_spec(TrialPath::default());
+    let expected = [
+        "53494d5301000c0076000000030000000000000070696e080000000000000032",
+        "542d4d49582d410a000000000000000c000000000000000200000000000000d0",
+        "07000000000000701700000000000040420f0000000000204e0000000000000c",
+        "0000000000000000000108000000000000000001020304050607030000000000",
+        "0000689bbe0fb3b8f810",
+    ]
+    .concat();
+    assert_eq!(hex(&encode_record(&default)), expected);
+    assert_eq!(
+        default.id().to_hex(),
+        "e71b909d27b5e57c5e867276ffe0299b2e978a1dfa8345bb7d4f6d6f78a4521e"
+    );
+    assert_eq!(
+        pinned_spec(TrialPath::ReplayFromZero).id().to_hex(),
+        "fac1677362082376a8a37fc504d4e1f93960bf6dd6bc0749d3cfe11c206d4da5"
+    );
+    assert_eq!(
+        pinned_spec(TrialPath::CycleByCycle).id().to_hex(),
+        "27cdda8ac335158def9ee20f4cb3154a03ce31c7068f9ae1a8abd28ac49434a1"
+    );
+    // The lane oracle and any lane width are off the wire.
+    for path in [TrialPath::Scalar, TrialPath::Batched { lanes: 8 }] {
+        assert_eq!(pinned_spec(path).id(), default.id(), "{path:?}");
+    }
+}
+
+#[test]
+fn trial_path_roundtrips_and_the_invalid_pair_fails_closed() {
+    for (path, decodes_to) in [
+        (TrialPath::default(), TrialPath::default()),
+        (TrialPath::Batched { lanes: 1 }, TrialPath::default()),
+        (TrialPath::Scalar, TrialPath::default()),
+        (TrialPath::CycleByCycle, TrialPath::CycleByCycle),
+        (TrialPath::ReplayFromZero, TrialPath::ReplayFromZero),
+    ] {
+        let spec = pinned_spec(path);
+        assert_roundtrip(&spec);
+        let decoded: JobSpec = decode_record(&encode_record(&spec)).expect("decodes");
+        assert_eq!(decoded.cfg.path, decodes_to, "{path:?}");
+    }
+
+    // Replay from zero with fast-forward off is no path. Build that byte
+    // pair from the replay-from-zero record by clearing the byte where
+    // the cycle-by-cycle record differs from the default one, then
+    // re-checksum so only the body is at fault.
+    let default = encode_record(&pinned_spec(TrialPath::default()));
+    let cycle_by_cycle = encode_record(&pinned_spec(TrialPath::CycleByCycle));
+    let fast_forward_at = default
+        .iter()
+        .zip(&cycle_by_cycle)
+        .position(|(a, b)| a != b)
+        .expect("the two paths encode differently");
+    assert!(
+        fast_forward_at < default.len() - 8,
+        "the flag precedes the checksum"
+    );
+    let mut bytes = encode_record(&pinned_spec(TrialPath::ReplayFromZero));
+    assert_eq!(bytes[fast_forward_at], 1);
+    bytes[fast_forward_at] = 0;
+    let sum_at = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..sum_at]).to_le_bytes();
+    bytes[sum_at..].copy_from_slice(&sum);
+    assert!(matches!(
+        decode_record::<JobSpec>(&bytes),
+        Err(CodecError::Body(WireError::BadEnum {
+            ty: "TrialPath",
+            ..
+        }))
+    ));
 }
 
 #[test]

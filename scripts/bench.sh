@@ -4,10 +4,10 @@
 # Usage: scripts/bench.sh [smoke]
 #   (no arg)  full measurement: 50k warm-up + 500k timed cycles, the
 #             quick policy sweep at 1/2/4 workers, and the quick-scale
-#             SFI campaign timed on both replay paths and on the
-#             lane-batched engine (each fast path is proven
-#             record-identical to its oracle before the speedup lands
-#             in the JSON)
+#             SFI campaign timed on the ReplayFromZero and Scalar trial
+#             paths and on the lane-batched engine (each fast path is
+#             proven record-identical to its oracle before the speedup
+#             lands in the JSON)
 #   smoke     tiny CI budget: enough to exercise the harness end-to-end
 #             (including the SFI timing and the JSON write) in seconds,
 #             not minutes

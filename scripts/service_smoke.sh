@@ -12,14 +12,15 @@
 #      -9 changed nothing about the final bytes.
 #   5. validate_avf --store must agree with the plain serial
 #      validate_avf on the rendered comparison table, and --resume must
-#      reuse the store. The stored run is the scalar oracle (--lanes 0).
-#   6. validate_avf --lanes 8 --store must produce a store byte-identical
-#      to the scalar one: the lane-batched engine changes wall clock,
-#      never bytes, and lane count is not part of job identity.
+#      reuse the store. The stored run is the scalar oracle (--scalar).
+#   6. validate_avf --store at the default (lane-batched) must produce a
+#      store byte-identical to the scalar one: the lane-batched engine
+#      changes wall clock, never bytes, and the trial path is not part
+#      of job identity.
 #   7. Same byte-identity through sim-serve end to end on a cache-heavy
 #      target mix (dl1data,dl1tag,dtlb,itlb) — the strikes that resolve
 #      through the consumption-feed watches — submitted scalar
-#      (--lanes 0) and with --lanes 8 into separate stores.
+#      (--scalar) and at the default into separate stores.
 #   8. Corrupt one object in B; fsck must fail closed.
 #
 # Usage: scripts/service_smoke.sh
@@ -56,7 +57,7 @@ diff -r "$A/refs" "$B/refs"
 
 echo "==> service smoke: validate_avf --store matches plain serial run"
 "${VALIDATE[@]}" > "$work/serial.txt"
-"${VALIDATE[@]}" --lanes 0 --store "$C" > "$work/stored.txt"
+"${VALIDATE[@]}" --scalar --store "$C" > "$work/stored.txt"
 # The golden window, every comparison row (structure, SFI estimate, CI,
 # ACE AVF, verdict), and the outcome tallies must agree; wall-clock
 # metric lines differ by design.
@@ -65,18 +66,18 @@ grep -E "$rows" "$work/serial.txt" > "$work/serial-rows.txt"
 grep -E "$rows" "$work/stored.txt" > "$work/stored-rows.txt"
 diff -u "$work/serial-rows.txt" "$work/stored-rows.txt"
 echo "==> service smoke: validate_avf --resume reuses the store"
-"${VALIDATE[@]}" --lanes 0 --store "$C" --resume > /dev/null
+"${VALIDATE[@]}" --scalar --store "$C" --resume > /dev/null
 
 echo "==> service smoke: lane-batched store is byte-identical to scalar"
-"${VALIDATE[@]}" --lanes 8 --store "$D" > /dev/null
+"${VALIDATE[@]}" --store "$D" > /dev/null
 diff -r "$C/objects" "$D/objects"
 diff -r "$C/refs" "$D/refs"
 
 echo "==> service smoke: cache-heavy lane-batched submit is byte-identical"
 MEMSUBMIT=(submit --workload 2T-MIX-A --trials 4 --seed 9
   --targets dl1data,dl1tag,dtlb,itlb --chunk 3 --workers 1)
-"${SERVE[@]}" "${MEMSUBMIT[@]}" --lanes 0 --store "$E"
-"${SERVE[@]}" "${MEMSUBMIT[@]}" --lanes 8 --store "$F"
+"${SERVE[@]}" "${MEMSUBMIT[@]}" --scalar --store "$E"
+"${SERVE[@]}" "${MEMSUBMIT[@]}" --store "$F"
 diff -r "$E/objects" "$F/objects"
 diff -r "$E/refs" "$F/refs"
 

@@ -7,16 +7,14 @@
 //! ```text
 //! cargo run --release --bin validate_avf -- [--workload 2T-MIX-A]
 //!     [--trials 200] [--seed 12] [--workers N] [--scale quick|default]
-//!     [--checkpoints K] [--replay-from-zero] [--lanes N]
+//!     [--checkpoints K] [--scalar]
 //!     [--trace-out trace.json] [--telemetry-window N]
 //! ```
 //!
-//! Trials restore from K golden-run checkpoints by default;
-//! `--replay-from-zero` forces the slow oracle path (identical results,
-//! useful for timing comparisons and distrust). Trials run up to 64 per
-//! batch on the lane-parallel lockstep engine (bit-identical to the
-//! scalar path; see DESIGN.md §5i); `--lanes N` sets the batch width and
-//! `--lanes 0` selects the scalar per-trial oracle.
+//! Trials restore from K golden-run checkpoints and run 64 per batch on
+//! the lane-parallel lockstep engine (see DESIGN.md §5i). `--scalar` runs
+//! one core per trial instead: the oracle the batched engine is proven
+//! bit-identical against, so the window, rows and outcome tallies match.
 //!
 //! `--trace-out PATH` re-runs the ACE reference with pipeline tracing and
 //! writes Chrome Trace Event JSON (open in Perfetto or `chrome://tracing`).
@@ -24,6 +22,7 @@
 //! the time series; combined with `--trace-out`, the AVF windows become
 //! counter tracks on the same timeline.
 
+use sim_inject::TrialPath;
 use smt_avf::experiments::campaign::{
     default_campaign, validate_workload, validate_workload_stored,
 };
@@ -37,8 +36,7 @@ struct Options {
     workers: usize,
     scale: ExperimentScale,
     checkpoints: usize,
-    replay_from_zero: bool,
-    lanes: usize,
+    scalar: bool,
     trace_out: Option<String>,
     telemetry_window: Option<u64>,
     store: Option<String>,
@@ -54,8 +52,7 @@ fn parse_args() -> Result<Options, String> {
         workers: 0, // 0 = auto
         scale: ExperimentScale::quick(),
         checkpoints: sim_inject::DEFAULT_CHECKPOINTS,
-        replay_from_zero: false,
-        lanes: sim_inject::DEFAULT_LANES,
+        scalar: false,
         trace_out: None,
         telemetry_window: None,
         store: None,
@@ -97,12 +94,7 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--checkpoints: {e}"))?
             }
-            "--replay-from-zero" => opts.replay_from_zero = true,
-            "--lanes" => {
-                opts.lanes = value("--lanes")?
-                    .parse()
-                    .map_err(|e| format!("--lanes: {e}"))?
-            }
+            "--scalar" => opts.scalar = true,
             "--store" => opts.store = Some(value("--store")?),
             "--resume" => opts.resume = true,
             "--chunk" => {
@@ -123,11 +115,11 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("usage: validate_avf [--workload NAME] [--trials N] \
                      [--seed S] [--workers W] [--scale quick|default] \
-                     [--checkpoints K] [--replay-from-zero] [--lanes N] \
+                     [--checkpoints K] [--scalar] \
                      [--store DIR] [--resume] [--chunk N] \
                      [--trace-out PATH] [--telemetry-window N]\n\
-                     --lanes N: trials per lane batch (default 64, at most 64); \
-                     0 runs the scalar per-trial oracle"
+                     --scalar: one core per trial (the oracle the default \
+                     64-lane batches are proven bit-identical against)"
                     .to_string())
             }
             other => return Err(format!("unknown flag '{other}' (try --help)")),
@@ -248,25 +240,21 @@ fn main() -> ExitCode {
         campaign.workers = opts.workers;
     }
     campaign.checkpoints = opts.checkpoints.max(1);
-    campaign.replay_from_zero = opts.replay_from_zero;
-    campaign.lanes = opts.lanes;
+    if opts.scalar {
+        campaign.path = TrialPath::Scalar;
+    }
     campaign.progress = true;
     println!(
-        "SFI campaign: workload {}, {} trials/structure over {} structures, seed {}, {} workers, {}{}",
+        "SFI campaign: workload {}, {} trials/structure over {} structures, seed {}, {} workers, {} checkpoints, {}",
         workload.name,
         campaign.trials_per_structure,
         campaign.targets.len(),
         campaign.seed,
         campaign.workers,
-        if campaign.replay_from_zero {
-            "replay-from-zero (oracle)".to_string()
-        } else {
-            format!("{} checkpoints", campaign.checkpoints)
-        },
-        if campaign.lanes > 0 && !campaign.replay_from_zero {
-            format!(", {} lanes (batched)", campaign.lanes.min(64))
-        } else {
-            String::new()
+        campaign.checkpoints,
+        match campaign.path {
+            TrialPath::Batched { lanes } => format!("{lanes} lanes (batched)"),
+            _ => "scalar (oracle)".to_string(),
         },
     );
 

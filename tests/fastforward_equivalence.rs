@@ -5,12 +5,12 @@
 //! The optimization's contract is *bit-identical observable history*: the
 //! `AvfReport`, committed-instruction counts, telemetry windows, trace
 //! events and SFI campaign records must all match a run with
-//! fast-forwarding disabled (`set_fast_forward(false)` — the same
-//! config-flag oracle pattern as `replay_from_zero`). These tests diff the
+//! fast-forwarding disabled (`set_fast_forward(false)`, or
+//! `TrialPath::CycleByCycle` for campaigns). These tests diff the
 //! two paths over memory-bound and compute-bound mixes, multiple fetch
 //! policies, and 1/2/4 campaign workers.
 
-use sim_inject::{run_campaign, CampaignConfig};
+use sim_inject::{run_campaign, CampaignConfig, TrialPath};
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::{SimBudget, SmtCore};
 use sim_workload::{table2, SmtWorkload};
@@ -104,9 +104,8 @@ fn sfi_campaign_records_are_identical_at_1_2_4_workers() {
     let campaign = |workers: usize, fast: bool| {
         let mut c = CampaignConfig::new(5, 0xFA57_F0D0, budget);
         c.workers = workers;
-        c.fast_forward = fast;
         if !fast {
-            c.lanes = 0;
+            c.path = TrialPath::CycleByCycle;
         }
         run_campaign(&factory, &c).expect("campaign runs")
     };
