@@ -59,7 +59,9 @@
 //!   scale, where timing noise cannot fake a regression)
 //! * `PERFBENCH_OUT` — output path (default `BENCH_pipeline.json`)
 
-use sim_inject::{run_campaign, LaneStats, TrialPath};
+use sim_inject::{
+    run_campaign, run_trials_batched_full, summarize, LaneStats, PreparedCampaign, TrialPath,
+};
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
 use sim_workload::{table2, SmtWorkload};
@@ -316,8 +318,9 @@ fn service_wallclock(trials: usize, reps: usize) -> (f64, f64, u64) {
 
 /// Time the checkpointed SFI campaign on [`TrialPath::Scalar`] and
 /// batched at [`LANE_WIDTH`] and prove the records identical before
-/// returning `(scalar_secs, batched_secs, lane_stats)` — the stats carry
-/// the per-target fork rates the benchmark JSON records.
+/// returning `(scalar_secs, batched_secs, lane_stats)` — the stats, as
+/// the trial executor returns them, carry the per-target fork rates the
+/// benchmark JSON records.
 ///
 /// One worker on both sides: the ratio measures the lane engine alone, not
 /// pool scaling. The two dimensions compose — the batched executor hands
@@ -346,23 +349,32 @@ fn lanes_wallclock(trials: usize) -> (f64, f64, LaneStats) {
 
     cc.path = TrialPath::Batched { lanes: LANE_WIDTH };
     let t0 = Instant::now();
-    let batched = run_campaign(factory, &cc).expect("batched campaign");
+    let prepared = PreparedCampaign::prepare(&factory, &cc).expect("batched campaign");
+    let total = prepared.total_trials();
+    let (execs, _, stats) = run_trials_batched_full(&prepared, &factory, 0, total, cc.workers);
     let batched_secs = t0.elapsed().as_secs_f64();
 
+    let golden = prepared.golden();
     assert_eq!(
-        scalar.window, batched.window,
+        scalar.window,
+        (golden.start, golden.end),
         "batched campaign measured a different golden window"
     );
+    let records: Vec<_> = execs.into_iter().map(|e| e.record).collect();
     assert_eq!(
-        scalar.records, batched.records,
+        scalar.records, records,
         "lane-batched campaign diverged from the scalar oracle"
     );
-    assert_eq!(scalar.per_target, batched.per_target);
-    let stats = batched
-        .metrics
-        .lane_stats
-        .clone()
-        .expect("batched campaigns report lane stats");
+    assert_eq!(
+        scalar.per_target,
+        summarize(&cc.targets, cc.trials_per_structure, &records)
+    );
+    let stats = stats.expect("batched campaigns report lane stats");
+    assert_eq!(
+        stats.totals().trials(),
+        total as u64,
+        "lane classification must cover every trial exactly once"
+    );
     (scalar_secs, batched_secs, stats)
 }
 

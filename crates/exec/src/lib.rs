@@ -70,22 +70,6 @@ impl PoolStats {
     pub fn total_jobs(&self) -> u64 {
         self.per_worker_jobs.iter().sum()
     }
-
-    /// Export the load-balance tallies into `registry` under `prefix`:
-    /// a `<prefix>.workers` gauge plus one `<prefix>.worker<i>.jobs`
-    /// counter per pool worker (counters accumulate across calls, so a
-    /// serving process folds every campaign's pool stats into one view).
-    /// Observability only — stats never feed back into results.
-    pub fn export(&self, registry: &sim_trace::metrics::MetricsRegistry, prefix: &str) {
-        registry
-            .gauge(&format!("{prefix}.workers"))
-            .set(self.per_worker_jobs.len() as i64);
-        for (i, &jobs) in self.per_worker_jobs.iter().enumerate() {
-            registry
-                .counter(&format!("{prefix}.worker{i}.jobs"))
-                .add(jobs);
-        }
-    }
 }
 
 /// Execute `f(0..total)` on `workers` scoped threads and return the results

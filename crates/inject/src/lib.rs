@@ -57,7 +57,8 @@ use avf_core::{SfiPoint, StructureId};
 use sim_model::rng::splitmix64;
 use sim_model::{MachineConfig, SimRng};
 pub use sim_pipeline::{target_entries, Fault, FaultTarget, Landing, RetiredInst};
-use sim_pipeline::{FaultProbe, LaneBatch, SimBudget, SmtCore};
+use sim_pipeline::{LaneBatch, SimBudget, SmtCore, Strike};
+use sim_trace::metrics::{self, MetricsRegistry};
 use sim_workload::InstSource;
 
 /// An error preparing or executing a fault-injection campaign.
@@ -325,44 +326,13 @@ pub struct TargetSummary {
     pub sfi: SfiPoint,
 }
 
-/// Checkpoint-restore statistics for the checkpointed trial path: how far
-/// each trial had to step from its restored snapshot to the injection
-/// cycle. Deterministic (a pure function of the sampled cycles and the
-/// snapshot schedule); the distribution shows how well the K snapshots
-/// cover the window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RestoreStats {
-    /// Trials that restored a snapshot.
-    pub restores: u64,
-    /// Shortest restore-to-injection distance, in cycles.
-    pub min_cycles: u64,
-    /// Longest restore-to-injection distance, in cycles.
-    pub max_cycles: u64,
-    /// Mean restore-to-injection distance, in cycles.
-    pub mean_cycles: f64,
-}
-
-impl RestoreStats {
-    fn from_distances(distances: &[u64]) -> Option<RestoreStats> {
-        if distances.is_empty() {
-            return None;
-        }
-        Some(RestoreStats {
-            restores: distances.len() as u64,
-            min_cycles: *distances.iter().min().expect("nonempty"),
-            max_cycles: *distances.iter().max().expect("nonempty"),
-            mean_cycles: distances.iter().sum::<u64>() as f64 / distances.len() as f64,
-        })
-    }
-}
-
 /// How the lane-batch engine classified one target's trials: every trial
 /// resolves through exactly one of `prechecked`, `batched`, `resident`,
 /// `forked`, or `deduped`. Deterministic for a given campaign (a pure
 /// function of the batch plan, which is worker-count-independent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneClassCounts {
-    /// Resolved at the injection probe without occupying a lane
+    /// Resolved when the strike is decoded, without occupying a lane
     /// (`Empty`/`Benign`/`Detected`).
     pub prechecked: u64,
     /// Taint/poison strikes that rode the shared follower to a verdict.
@@ -393,6 +363,19 @@ impl LaneClassCounts {
         self.forked += o.forked;
         self.reconverged += o.reconverged;
         self.deduped += o.deduped;
+    }
+
+    /// `(class name, count)` pairs, in report order — the names the
+    /// `campaign.lane_<class>` metrics carry.
+    fn by_class(&self) -> [(&'static str, u64); 6] {
+        [
+            ("prechecked", self.prechecked),
+            ("batched", self.batched),
+            ("resident", self.resident),
+            ("forked", self.forked),
+            ("reconverged", self.reconverged),
+            ("deduped", self.deduped),
+        ]
     }
 
     /// Trials this tally covers.
@@ -466,88 +449,6 @@ impl LaneStats {
     }
 }
 
-/// Execution metrics for one campaign run. Wall-clock fields vary run to
-/// run; the counters (early exits, injected trials, restore distances) are
-/// deterministic. Metrics are diagnostics only — they are deliberately
-/// *not* part of the result-equality contract the oracle/checkpointed
-/// equivalence tests assert over [`CampaignResult::records`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignMetrics {
-    /// Total trials executed.
-    pub trials: u64,
-    /// Wall-clock seconds for the golden pass(es) + snapshot capture.
-    pub golden_secs: f64,
-    /// Wall-clock seconds for the trial phase.
-    pub trial_secs: f64,
-    /// Trial throughput (`trials / trial_secs`).
-    pub trials_per_sec: f64,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Jobs executed by each pool worker (load-balance diagnostic; a
-    /// single entry on the serial path).
-    pub per_worker_jobs: Vec<u64>,
-    /// Trials whose fault actually perturbed state
-    /// ([`Landing::Injected`]).
-    pub injected_trials: u64,
-    /// Injected trials cut short by the convergence early-exit (provably
-    /// masked before reaching the commit target).
-    pub early_exits: u64,
-    /// Restore-distance stats; `None` on the replay-from-zero oracle path.
-    pub restore: Option<RestoreStats>,
-    /// Per-target lane-batch classification; `None` off
-    /// [`TrialPath::Batched`].
-    pub lane_stats: Option<LaneStats>,
-}
-
-impl CampaignMetrics {
-    /// Fold this run's metrics into `registry` under `prefix` — the bridge
-    /// the serving layer uses so campaign diagnostics surface in metrics
-    /// snapshots. Counters accumulate across campaigns; gauges hold the
-    /// latest run's value; the trial phase lands as one histogram sample
-    /// in microseconds. Like the struct itself, this is diagnostics only —
-    /// nothing here feeds back into results.
-    pub fn export(&self, registry: &sim_trace::metrics::MetricsRegistry, prefix: &str) {
-        registry
-            .counter(&format!("{prefix}.trials"))
-            .add(self.trials);
-        registry
-            .counter(&format!("{prefix}.injected_trials"))
-            .add(self.injected_trials);
-        registry
-            .counter(&format!("{prefix}.early_exits"))
-            .add(self.early_exits);
-        registry
-            .gauge(&format!("{prefix}.workers"))
-            .set(self.workers as i64);
-        registry
-            .histogram(&format!("{prefix}.trial_phase_us"))
-            .observe((self.trial_secs * 1e6) as u64);
-        for (i, &jobs) in self.per_worker_jobs.iter().enumerate() {
-            registry
-                .counter(&format!("{prefix}.worker{i}.jobs"))
-                .add(jobs);
-        }
-        if let Some(r) = &self.restore {
-            registry
-                .counter(&format!("{prefix}.restores"))
-                .add(r.restores);
-        }
-        if let Some(ls) = &self.lane_stats {
-            let t = ls.totals();
-            for (name, n) in [
-                ("lane_prechecked", t.prechecked),
-                ("lane_batched", t.batched),
-                ("lane_resident", t.resident),
-                ("lane_forked", t.forked),
-                ("lane_reconverged", t.reconverged),
-                ("lane_deduped", t.deduped),
-            ] {
-                registry.counter(&format!("{prefix}.{name}")).add(n);
-            }
-        }
-    }
-}
-
 /// A completed campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -558,8 +459,6 @@ pub struct CampaignResult {
     pub window: (u64, u64),
     /// Per-structure tallies.
     pub per_target: Vec<TargetSummary>,
-    /// Runner execution metrics (throughput, early exits, restores).
-    pub metrics: CampaignMetrics,
 }
 
 impl CampaignResult {
@@ -1059,27 +958,6 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
         self.checkpointed.as_ref()
     }
 
-    /// Cycles at which golden snapshots were captured; `None` on the
-    /// oracle path.
-    pub fn checkpoint_cycles(&self) -> Option<Vec<u64>> {
-        self.checkpointed
-            .as_ref()
-            .map(CheckpointedGolden::checkpoint_cycles)
-    }
-
-    /// [`SmtCore::state_digest`] of each golden snapshot, in cycle order;
-    /// `None` on the oracle path. Persisted campaign stores compare these
-    /// on resume and fail closed if a rebuilt golden diverges from the one
-    /// the stored chunks were produced from.
-    pub fn checkpoint_digests(&self) -> Option<Vec<u64>> {
-        self.checkpointed.as_ref().map(|c| {
-            c.checkpoints
-                .iter()
-                .map(|(_, m)| m.state_digest())
-                .collect()
-        })
-    }
-
     /// Sample trial `index`'s fault and injection cycle.
     ///
     /// # Panics
@@ -1300,46 +1178,46 @@ fn run_one_batch<S: InstSource + Clone>(
     loop {
         // Inject every trial whose cycle has arrived. The step bound never
         // overshoots a pending injection cycle, so the follower sits on
-        // exactly the cycle a scalar trial would inject at, and probes /
-        // forks observe exactly the scalar pre-injection state (probing
+        // exactly the cycle a scalar trial would inject at, and decodes /
+        // forks observe exactly the scalar pre-injection state (decoding
         // and lane activation never mutate the follower's timing state).
         while pending < samples.len() && batch.cycle() >= samples[pending].cycle {
             debug_assert_eq!(batch.cycle(), samples[pending].cycle);
             let k = pending;
             pending += 1;
-            match batch.probe(&samples[k].fault) {
-                FaultProbe::Empty => {
+            let strike = batch.follower().decode_fault(&samples[k].fault);
+            match strike {
+                Strike::Empty | Strike::Benign => {
                     stats.counts_mut(samples[k].target).prechecked += 1;
-                    out[k] = Some(make_exec(k, Landing::Empty, Outcome::Masked, false));
+                    out[k] = Some(make_exec(k, strike.landing(), Outcome::Masked, false));
                 }
-                FaultProbe::Benign => {
-                    stats.counts_mut(samples[k].target).prechecked += 1;
-                    out[k] = Some(make_exec(k, Landing::Benign, Outcome::Masked, false));
-                }
-                FaultProbe::Detected => {
+                Strike::Detected => {
                     stats.counts_mut(samples[k].target).prechecked += 1;
                     out[k] = Some(make_exec(k, Landing::Detected, Outcome::Detected, false));
                 }
-                probe @ (FaultProbe::TaintSlot { .. }
-                | FaultProbe::PoisonReg { .. }
-                | FaultProbe::CacheResident { .. }
-                | FaultProbe::CacheDirtyLine { .. }
-                | FaultProbe::TlbResident { .. }) => {
+                Strike::Taint {
+                    feeds_timing: false,
+                    ..
+                }
+                | Strike::PoisonReg { .. }
+                | Strike::Dl1Word { .. }
+                | Strike::Dl1Line { .. }
+                | Strike::Tlb { .. } => {
                     was_resident[k] = matches!(
-                        probe,
-                        FaultProbe::CacheResident { .. }
-                            | FaultProbe::CacheDirtyLine { .. }
-                            | FaultProbe::TlbResident { .. }
+                        strike,
+                        Strike::Dl1Word { .. } | Strike::Dl1Line { .. } | Strike::Tlb { .. }
                     );
-                    dirty_line[k] = matches!(probe, FaultProbe::CacheDirtyLine { .. });
-                    batch.activate(k, probe);
+                    dirty_line[k] = matches!(strike, Strike::Dl1Line { dirty: true, .. });
+                    batch.activate(k, strike);
                     riders.push(Rider {
                         lane: k,
                         check_step: CONVERGENCE_CHECK_START,
                         next_check: batch.cycle() + CONVERGENCE_CHECK_START,
                     });
                 }
-                FaultProbe::Diverges => {
+                Strike::Taint {
+                    feeds_timing: true, ..
+                } => {
                     // Fork: clone the follower and run the existing scalar
                     // trial tail (which re-steps zero cycles and injects
                     // for real).
@@ -1508,6 +1386,10 @@ fn run_one_batch<S: InstSource + Clone>(
 /// tally is `None` off the batched path (or for an empty range);
 /// otherwise it is deterministic — batches merge in plan order, which no
 /// worker count can reshuffle.
+///
+/// This is the one producer of campaign diagnostics: when
+/// [`metrics::enabled`], each call publishes its tallies into
+/// [`metrics::global`] (see [`render_metrics`] for the names).
 pub fn run_trials_batched_full<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
@@ -1536,36 +1418,165 @@ where
         }
     };
 
-    let lanes = match path.lanes() {
-        Some(lanes) if len > 0 => lanes,
+    let (execs, pool, lane_stats) = match path.lanes() {
+        Some(lanes) if len > 0 => {
+            let batches = plan_batches(prepared, start, len, lanes);
+            let (per_batch, pool) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
+                let (execs, batch_stats) = run_one_batch(prepared, &batches[b]);
+                heartbeat(execs.len() as u64);
+                (execs, batch_stats)
+            });
+            let mut out: Vec<Option<TrialExec>> = vec![None; len];
+            let mut lane_stats = LaneStats::default();
+            for (b, (execs, batch_stats)) in per_batch.into_iter().enumerate() {
+                lane_stats.merge(&batch_stats);
+                for (k, exec) in execs.into_iter().enumerate() {
+                    out[batches[b][k] - start] = Some(exec);
+                }
+            }
+            let execs = out
+                .into_iter()
+                .map(|o| o.expect("batches tile the trial range"))
+                .collect();
+            (execs, pool, Some(lane_stats))
+        }
         _ => {
             let (execs, pool) = sim_exec::run_indexed_stats(len, workers, |i| {
                 let exec = prepared.run_index(factory, start + i);
                 heartbeat(1);
                 exec
             });
-            return (execs, pool, None);
+            (execs, pool, None)
         }
     };
-    let batches = plan_batches(prepared, start, len, lanes);
-    let (per_batch, stats) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
-        let (execs, batch_stats) = run_one_batch(prepared, &batches[b]);
-        heartbeat(execs.len() as u64);
-        (execs, batch_stats)
-    });
-    let mut out: Vec<Option<TrialExec>> = vec![None; len];
-    let mut lane_stats = LaneStats::default();
-    for (b, (execs, batch_stats)) in per_batch.into_iter().enumerate() {
-        lane_stats.merge(&batch_stats);
-        for (k, exec) in execs.into_iter().enumerate() {
-            out[batches[b][k] - start] = Some(exec);
+    if metrics::enabled() {
+        publish_metrics(
+            metrics::global(),
+            &execs,
+            &pool,
+            lane_stats.as_ref(),
+            metrics::micros_since(t0),
+        );
+    }
+    (execs, pool, lane_stats)
+}
+
+/// Fold one executor call into `registry`. Counters accumulate across
+/// calls (chunks, campaigns); the `workers` gauge holds the latest call's
+/// pool width; each call adds one `trial_phase_us` sample and one
+/// `restore_distance_cycles` sample per restored trial. Diagnostics only:
+/// nothing here feeds back into records.
+fn publish_metrics(
+    registry: &MetricsRegistry,
+    execs: &[TrialExec],
+    pool: &sim_exec::PoolStats,
+    lane_stats: Option<&LaneStats>,
+    elapsed_us: u64,
+) {
+    let count = |name: &str, n: u64| registry.counter(&format!("campaign.{name}")).add(n);
+    let tally = |keep: fn(&TrialExec) -> bool| execs.iter().filter(|e| keep(e)).count() as u64;
+    count("trials", execs.len() as u64);
+    count(
+        "injected_trials",
+        tally(|e| e.record.landing == Landing::Injected),
+    );
+    count("early_exits", tally(|e| e.early_exit));
+    count("restores", tally(|e| e.restore_distance.is_some()));
+    let distances = registry.histogram("campaign.restore_distance_cycles");
+    for d in execs.iter().filter_map(|e| e.restore_distance) {
+        distances.observe(d);
+    }
+    registry
+        .gauge("campaign.workers")
+        .set(pool.per_worker_jobs.len() as i64);
+    registry
+        .histogram("campaign.trial_phase_us")
+        .observe(elapsed_us);
+    for (i, &jobs) in pool.per_worker_jobs.iter().enumerate() {
+        count(&format!("worker{i}.jobs"), jobs);
+    }
+    for (target, c) in lane_stats.map_or(&[][..], |ls| &ls.per_target) {
+        for (class, n) in c.by_class() {
+            count(&format!("lane_{class}"), n);
+            count(&format!("lane_{class}.{}", target.label()), n);
         }
     }
-    let out = out
-        .into_iter()
-        .map(|o| o.expect("batches tile the trial range"))
-        .collect();
-    (out, stats, Some(lane_stats))
+}
+
+/// Render the campaign diagnostics [`run_trials_batched_full`] published
+/// into `registry`: a `campaign:` throughput line, a `restores:` line when
+/// any trial restored a snapshot, and a `lane probe classes` line with
+/// one row per target in `targets` when any trial ran batched. Each line
+/// ends in a newline; the text is empty when no trial was published.
+pub fn render_metrics(registry: &MetricsRegistry, targets: &[FaultTarget]) -> String {
+    let counter = |name: &str| registry.counter(&format!("campaign.{name}")).get();
+    let trials = counter("trials");
+    if trials == 0 {
+        return String::new();
+    }
+    let secs = registry.histogram("campaign.trial_phase_us").sum() as f64 / 1e6;
+    let rate = if secs > 0.0 {
+        trials as f64 / secs
+    } else {
+        0.0
+    };
+    let mut out = format!(
+        "campaign: {trials} trials in {secs:.2}s ({rate:.1} trials/s) on {} workers; \
+         {} injected, {} early exits\n",
+        registry.gauge("campaign.workers").get(),
+        counter("injected_trials"),
+        counter("early_exits"),
+    );
+    let distances = registry.histogram("campaign.restore_distance_cycles");
+    if distances.count() > 0 {
+        out += &format!(
+            "restores: {} from checkpoints, replay distance mean {:.0} cycles, p90 <= {}\n",
+            distances.count(),
+            distances.mean(),
+            distances.quantile(0.90),
+        );
+    }
+    let lanes = |suffix: &str| {
+        let get = |class: &str| counter(&format!("lane_{class}{suffix}"));
+        LaneClassCounts {
+            prechecked: get("prechecked"),
+            batched: get("batched"),
+            resident: get("resident"),
+            forked: get("forked"),
+            reconverged: get("reconverged"),
+            deduped: get("deduped"),
+        }
+    };
+    let t = lanes("");
+    if t.trials() == 0 {
+        return out;
+    }
+    out += &format!(
+        "lane probe classes: {} prechecked, {} batched, {} resident-resolved, \
+         {} forked ({} reconverged early), {} deduped — fork rate {:.3}\n",
+        t.prechecked,
+        t.batched,
+        t.resident,
+        t.forked,
+        t.reconverged,
+        t.deduped,
+        t.fork_rate()
+    );
+    for target in targets {
+        let c = lanes(&format!(".{}", target.label()));
+        out += &format!(
+            "  {:>8}: {:>4} prechecked {:>4} batched {:>4} resident {:>4} forked \
+             ({:>3} reconverged) {:>3} deduped\n",
+            target.label(),
+            c.prechecked,
+            c.batched,
+            c.resident,
+            c.forked,
+            c.reconverged,
+            c.deduped
+        );
+    }
+    out
 }
 
 /// Per-structure tallies over `records`, which must hold
@@ -1616,54 +1627,16 @@ where
 {
     // Workers share the immutable prepared state (golden + checkpoint
     // set); each trial clones only the one snapshot it restores.
-    let golden_t0 = std::time::Instant::now();
     let prepared = PreparedCampaign::prepare(&factory, cfg)?;
-    let golden_secs = golden_t0.elapsed().as_secs_f64();
-    let total = prepared.total_trials();
 
     // Each trial is a pure function of the prepared state and its global
     // index, so the sim-exec pool's index-ordered merge makes the record
     // vector bit-identical for any worker count — and, because every
     // trial path is proven bit-identical to its oracle, for any
-    // `cfg.path`. The per-trial metrics (early exit, restore distance)
-    // ride alongside each record.
-    let trials_t0 = std::time::Instant::now();
-    let (trials, pool_stats, lane_stats) =
-        run_trials_batched_full(&prepared, &factory, 0, total, cfg.workers);
-    let trial_secs = trials_t0.elapsed().as_secs_f64();
-
-    let mut records = Vec::with_capacity(trials.len());
-    let mut distances = Vec::new();
-    let mut early_exits = 0u64;
-    for exec in trials {
-        if exec.early_exit {
-            early_exits += 1;
-        }
-        if let Some(d) = exec.restore_distance {
-            distances.push(d);
-        }
-        records.push(exec.record);
-    }
-    let injected_trials = records
-        .iter()
-        .filter(|r| r.landing == Landing::Injected)
-        .count() as u64;
-    let metrics = CampaignMetrics {
-        trials: total as u64,
-        golden_secs,
-        trial_secs,
-        trials_per_sec: if trial_secs > 0.0 {
-            total as f64 / trial_secs
-        } else {
-            0.0
-        },
-        workers: pool_stats.per_worker_jobs.len(),
-        per_worker_jobs: pool_stats.per_worker_jobs,
-        injected_trials,
-        early_exits,
-        restore: RestoreStats::from_distances(&distances),
-        lane_stats,
-    };
+    // `cfg.path`.
+    let (trials, _, _) =
+        run_trials_batched_full(&prepared, &factory, 0, prepared.total_trials(), cfg.workers);
+    let records: Vec<TrialRecord> = trials.into_iter().map(|exec| exec.record).collect();
 
     let golden = prepared.golden();
     let per_target = summarize(&cfg.targets, cfg.trials_per_structure, &records);
@@ -1671,7 +1644,6 @@ where
         records,
         window: (golden.start, golden.end),
         per_target,
-        metrics,
     })
 }
 

@@ -1,6 +1,6 @@
 //! The lane-parallel batched trial engine must be bit-identical to the
 //! scalar per-trial oracle — record for record, at lanes = 1/4/8/64 and
-//! workers = 1/2/4, and the read-only fault probe must agree with the
+//! workers = 1/2/4, and the read-only strike decoder must agree with the
 //! real injection's landing on every sampled strike.
 //!
 //! `TrialPath::Scalar` keeps the scalar path alive precisely so this test
@@ -9,7 +9,7 @@
 
 use sim_inject::*;
 use sim_model::MachineConfig;
-use sim_pipeline::{FaultProbe, Landing, SimBudget, SmtCore};
+use sim_pipeline::{Landing, SimBudget, SmtCore, Strike};
 use sim_workload::{profile, TraceGenerator};
 
 fn factory() -> SmtCore {
@@ -97,9 +97,9 @@ fn executor_on_a_replay_from_zero_campaign_matches_run_index() {
 #[test]
 fn probe_agrees_with_injection_on_every_sampled_strike() {
     // For every trial the campaign would sample, step a scalar core to the
-    // injection cycle, probe (read-only), then inject for real: the probe
-    // must predict the landing exactly, and the metadata-probe classes
-    // must match what injection actually mutated.
+    // injection cycle, decode (read-only), then inject for real: the
+    // decoded strike must predict the landing exactly, and every class
+    // the lane engine rides must land Injected.
     let cfg = campaign(1, TrialPath::Scalar);
     let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
     let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
@@ -117,32 +117,37 @@ fn probe_agrees_with_injection_on_every_sampled_strike() {
             core.step_fast_bounded(s.cycle);
         }
         let digest_before = core.state_digest();
-        let probe = core.probe_fault(&s.fault);
+        let strike = core.decode_fault(&s.fault);
         assert_eq!(
             core.state_digest(),
             digest_before,
-            "probe mutated state for {:?}",
+            "decode mutated state for {:?}",
             s.fault
         );
         let landing = core.inject_fault(&s.fault);
-        match probe {
-            FaultProbe::Empty => assert_eq!(landing, Landing::Empty, "{:?}", s.fault),
-            FaultProbe::Benign => assert_eq!(landing, Landing::Benign, "{:?}", s.fault),
-            FaultProbe::Detected => assert_eq!(landing, Landing::Detected, "{:?}", s.fault),
-            FaultProbe::TaintSlot { .. } | FaultProbe::PoisonReg { .. } => {
+        assert_eq!(landing, strike.landing(), "{:?}", s.fault);
+        match strike {
+            Strike::Empty => assert_eq!(landing, Landing::Empty, "{:?}", s.fault),
+            Strike::Benign => assert_eq!(landing, Landing::Benign, "{:?}", s.fault),
+            Strike::Detected => assert_eq!(landing, Landing::Detected, "{:?}", s.fault),
+            // Metadata strikes ride the follower's taint/poison masks.
+            Strike::Taint {
+                feeds_timing: false,
+                ..
+            }
+            | Strike::PoisonReg { .. } => {
                 assert_eq!(landing, Landing::Injected, "{:?}", s.fault);
             }
             // The resident classes claim a strike on *valid* cache/TLB
             // state: injection must land (Injected), never find the slot
             // empty or the field idle.
-            FaultProbe::CacheResident { .. }
-            | FaultProbe::CacheDirtyLine { .. }
-            | FaultProbe::TlbResident { .. } => {
+            Strike::Dl1Word { .. } | Strike::Dl1Line { .. } | Strike::Tlb { .. } => {
                 assert_eq!(landing, Landing::Injected, "{:?}", s.fault);
             }
-            // Conservative class: the only claim is that the scalar fork
-            // handles it; any landing is possible.
-            FaultProbe::Diverges => {}
+            // Forks to the scalar path, which handles any landing.
+            Strike::Taint {
+                feeds_timing: true, ..
+            } => {}
         }
         checked += 1;
     }

@@ -73,16 +73,14 @@ fn resident_watches_actually_resolve_without_forking() {
     // still forked; require that a meaningful share resolved on the
     // follower (resident) and that the tally tiles the campaign exactly.
     let cfg = campaign(16, 2, TrialPath::Batched { lanes: 64 });
-    let result = run_campaign(factory, &cfg).expect("batched campaign runs");
-    let stats = result
-        .metrics
-        .lane_stats
-        .as_ref()
-        .expect("batched campaigns report lane stats");
+    let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
+    let total = prepared.total_trials();
+    let (_, _, stats) = run_trials_batched_full(&prepared, &factory, 0, total, cfg.workers);
+    let stats = stats.expect("batched campaigns report lane stats");
     let totals = stats.totals();
     assert_eq!(
         totals.trials(),
-        result.metrics.trials,
+        total as u64,
         "lane classification must cover every trial exactly once"
     );
     assert!(

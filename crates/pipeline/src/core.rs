@@ -2,8 +2,7 @@
 //! deferred ACE-bit banking at every structure.
 
 use crate::inject::{
-    target_entries, Fault, FaultProbe, FaultState, FaultTarget, Landing, RetiredInst, Rewrite,
-    Strike,
+    target_entries, Fault, FaultState, FaultTarget, Landing, RetiredInst, Rewrite, Strike,
 };
 use crate::lanes::LaneEvent;
 use crate::resources::{FreeList, FuPool, IqEntry, IssueQueue, RegTracker};
@@ -1806,17 +1805,11 @@ impl<S: InstSource> SmtCore<S> {
     /// for analytically — and apply nothing.
     ///
     /// The strike is resolved by [`SmtCore::decode_fault`] and then
-    /// applied, so it always lands where [`SmtCore::probe_fault`] predicts.
+    /// applied, so it always lands where the decoded [`Strike`] says.
     pub fn inject_fault(&mut self, fault: &Fault) -> Landing {
         let strike = self.decode_fault(fault);
         self.apply_strike(strike);
         strike.landing()
-    }
-
-    /// Predict what [`SmtCore::inject_fault`] would do *without mutating
-    /// anything*: the decoded strike, classified by [`Strike::probe`].
-    pub fn probe_fault(&self, fault: &Fault) -> FaultProbe {
-        self.decode_fault(fault).probe()
     }
 
     /// Resolve `fault` against the current state without mutating

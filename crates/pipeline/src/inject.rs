@@ -119,9 +119,9 @@ pub fn target_entries(target: FaultTarget, cfg: &MachineConfig) -> u64 {
 /// A fault resolved against the core's current state by
 /// [`SmtCore::decode_fault`]: what the strike lands on and the mutation
 /// injecting it makes. Decoding is read-only.
-/// [`SmtCore::inject_fault`] applies the decoded strike and
-/// [`Strike::probe`] classifies it for the lane engine, so injection and
-/// probing agree by construction.
+/// [`SmtCore::inject_fault`] applies the decoded strike and the lane
+/// engine ([`LaneBatch::activate`](crate::LaneBatch::activate)) matches
+/// on it, so injection and lane classification agree by construction.
 ///
 /// [`SmtCore::decode_fault`]: crate::SmtCore::decode_fault
 /// [`SmtCore::inject_fault`]: crate::SmtCore::inject_fault
@@ -143,7 +143,9 @@ pub enum Strike {
         /// The struck field, when injection rewrites it.
         rewrite: Option<Rewrite>,
         /// A later pipeline decision reads the rewritten field, so the
-        /// strike changes timing and a lane must fork.
+        /// strike may change timing and a lane must fork. Conservative:
+        /// the scalar fork is exact even when the rewrite turns out to be
+        /// timing-neutral.
         feeds_timing: bool,
     },
     /// Poisons one physical register.
@@ -204,118 +206,6 @@ impl Strike {
             _ => Landing::Injected,
         }
     }
-
-    /// Classify the strike for the lane engine: a rewrite that feeds
-    /// timing back [`FaultProbe::Diverges`]; everything else maps onto the
-    /// metadata or resident class the lane tracks.
-    pub fn probe(self) -> FaultProbe {
-        match self {
-            Strike::Empty => FaultProbe::Empty,
-            Strike::Benign => FaultProbe::Benign,
-            Strike::Detected => FaultProbe::Detected,
-            Strike::Taint {
-                feeds_timing: true, ..
-            } => FaultProbe::Diverges,
-            Strike::Taint { thread, slab, .. } => FaultProbe::TaintSlot { thread, slab },
-            Strike::PoisonReg { fp, reg } => FaultProbe::PoisonReg { fp, reg },
-            Strike::Dl1Word { line, word } => FaultProbe::CacheResident {
-                line,
-                word: Some(word),
-            },
-            Strike::Dl1Line { line, dirty: false } => {
-                FaultProbe::CacheResident { line, word: None }
-            }
-            Strike::Dl1Line { line, dirty: true } => FaultProbe::CacheDirtyLine { line },
-            Strike::Tlb { itlb, entry } => FaultProbe::TlbResident { itlb, entry },
-        }
-    }
-}
-
-/// Read-only prediction of what [`inject_fault`] would do:
-/// [`probe_fault`] decodes the strike and classifies it with
-/// [`Strike::probe`], without mutating the core. The lane-batch engine
-/// uses it to keep metadata-only strikes (taint/poison, which never feed
-/// back into timing) riding a shared golden follower, and to fork
-/// anything else out to the scalar path.
-///
-/// The classification is conservative: a strike whose decoded rewrite the
-/// lane engine cannot track against the shared follower (renamed source
-/// tags, pre-issue effective addresses, pre-issue load PCs) is
-/// [`FaultProbe::Diverges`] even when the rewrite would turn out to be
-/// timing-neutral, because the fork (a scalar trial) is always correct
-/// and only the *cheap* cases must be predicted exactly.
-///
-/// [`inject_fault`]: crate::SmtCore::inject_fault
-/// [`probe_fault`]: crate::SmtCore::probe_fault
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultProbe {
-    /// The strike would land [`Landing::Empty`].
-    Empty,
-    /// The strike would land [`Landing::Benign`].
-    Benign,
-    /// The strike would land [`Landing::Detected`].
-    Detected,
-    /// The strike would land [`Landing::Injected`] by setting exactly one
-    /// slot's `tainted` flag — pure metadata, no timing feedback. The slot
-    /// is identified by `(thread, slab index)`, the stable reference the
-    /// lane engine's taint masks are keyed on.
-    TaintSlot {
-        /// Owning thread.
-        thread: u8,
-        /// Slab index of the struck slot in that thread's ROB slab.
-        slab: u32,
-    },
-    /// The strike would land [`Landing::Injected`] by poisoning exactly
-    /// one physical register — pure metadata, no timing feedback.
-    PoisonReg {
-        /// Floating-point pool (`false` = integer pool).
-        fp: bool,
-        /// Register index within its pool.
-        reg: u16,
-    },
-    /// The strike would land [`Landing::Injected`] on resident DL1 state
-    /// the lane engine can track without ever forking. `Some(w)`: word
-    /// `w` is poisoned — demand reads taint their consumers, overwrites
-    /// heal, and a dirty eviction moves the watch to the word's memory
-    /// address (the scalar's `stale_words` mirror). `None`: a clean-tag
-    /// strike that merely invalidates the line — timing-only, no
-    /// architectural residue, so the lane rides bare and resolves Masked
-    /// at its first convergence check.
-    CacheResident {
-        /// Flat physical DL1 line index (`set * assoc + way`).
-        line: u32,
-        /// `Some(w)`: a data strike poisoning word `w` (residual
-        /// corruption until healed). `None`: a clean-tag strike that
-        /// invalidates the line (timing-only — no architectural residue).
-        word: Option<u8>,
-    },
-    /// The strike would land [`Landing::Injected`] by invalidating a
-    /// *dirty* DL1 line, silently discarding its only good copy (every
-    /// word becomes a stale memory address). The struck machine is golden
-    /// minus one valid line: its timing stays identical exactly until
-    /// something touches the line or fills into its set, so the lane
-    /// engine rides it as permanently-residual (Latent) and forks on the
-    /// first touch.
-    CacheDirtyLine {
-        /// Flat physical DL1 line index of the lost line.
-        line: u32,
-    },
-    /// The strike would land [`Landing::Injected`] by invalidating one
-    /// valid TLB entry — timing-only (translation is identity-mapped and
-    /// a refill restores the entry exactly), so the lane rides bare and
-    /// resolves Masked at its first convergence check without watching
-    /// anything.
-    TlbResident {
-        /// Instruction TLB (`false` = data TLB).
-        itlb: bool,
-        /// Flat entry index (`set * assoc + way`).
-        entry: u32,
-    },
-    /// The strike would mutate state the lane engine cannot mask
-    /// per-lane (renamed source tags, pre-issue effective addresses,
-    /// pre-issue load PCs, anything under FLUSH replay): the lane must
-    /// fork to a scalar core and inject for real.
-    Diverges,
 }
 
 /// One retired instruction as recorded by the commit log: the fields an

@@ -50,20 +50,21 @@
 //!
 //! Strikes that would mutate live scheduling state (renamed source tags,
 //! pre-issue effective addresses, recorded PCs) are detected up front by
-//! [`SmtCore::probe_fault`] and *forked*: the lane clones the follower
-//! (bit-identical, by the snapshot property the checkpointed campaigns
-//! already rely on) and runs the existing scalar path. Divergence
-//! detection is conservative by construction — the probe only has to be
-//! exact about the cheap cases, because the fork is always correct.
+//! [`SmtCore::decode_fault`] (a [`Strike::Taint`] that `feeds_timing`)
+//! and *forked*: the lane clones the follower (bit-identical, by the
+//! snapshot property the checkpointed campaigns already rely on) and runs
+//! the existing scalar path. Divergence detection is conservative by
+//! construction — decoding only has to be exact about the cheap cases,
+//! because the fork is always correct.
 
 use crate::core::SmtCore;
-use crate::inject::{Fault, FaultProbe};
+use crate::inject::Strike;
 use sim_workload::{InstSource, TraceGenerator};
 
 /// One taint/poison-relevant mutation in the follower core, emitted when
 /// the lane feed is armed. Registers are identified by `(fp, index)`,
 /// in-flight instructions by `(thread, slab index)` — the same stable
-/// keys [`FaultProbe`] reports.
+/// keys [`Strike`] reports.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LaneEvent {
     /// Dispatch allocated a fresh destination register: any lane's stale
@@ -292,12 +293,6 @@ impl<S: InstSource> LaneBatch<S> {
         self.follower.cycles_since_last_commit()
     }
 
-    /// Predict a strike against the follower's current state (the state a
-    /// scalar trial would inject into at this cycle).
-    pub fn probe(&self, fault: &Fault) -> FaultProbe {
-        self.follower.probe_fault(fault)
-    }
-
     /// Inject a metadata-only or resident strike into lane `lane`: set
     /// the taint/poison bit the scalar `inject_fault` would have set, or
     /// start watching the struck poisoned DL1 word through the
@@ -311,13 +306,18 @@ impl<S: InstSource> LaneBatch<S> {
     /// and reports clean — the feeds stay cold.
     ///
     /// # Panics
-    /// Panics if `probe` is `Empty`/`Benign`/`Detected` (needs no lane)
-    /// or `Diverges` (must fork).
-    pub fn activate(&mut self, lane: usize, probe: FaultProbe) {
+    /// Panics if `strike` is `Empty`/`Benign`/`Detected` (needs no lane)
+    /// or a taint that `feeds_timing` (must fork).
+    pub fn activate(&mut self, lane: usize, strike: Strike) {
         assert!(lane < self.lanes, "lane out of range");
         let bit = 1u64 << lane;
-        match probe {
-            FaultProbe::TaintSlot { thread, slab } => {
+        match strike {
+            Strike::Taint {
+                thread,
+                slab,
+                feeds_timing: false,
+                ..
+            } => {
                 self.arm_lane_feed();
                 let tm = &mut self.taint[thread as usize];
                 if slab as usize >= tm.len() {
@@ -325,7 +325,7 @@ impl<S: InstSource> LaneBatch<S> {
                 }
                 tm[slab as usize] |= bit;
             }
-            FaultProbe::PoisonReg { fp, reg } => {
+            Strike::PoisonReg { fp, reg } => {
                 self.arm_lane_feed();
                 if fp {
                     self.fp_poison[reg as usize] |= bit;
@@ -333,19 +333,16 @@ impl<S: InstSource> LaneBatch<S> {
                     self.int_poison[reg as usize] |= bit;
                 }
             }
-            FaultProbe::CacheResident {
-                line,
-                word: Some(word),
-            } => {
+            Strike::Dl1Word { line, word } => {
                 self.set_watch(lane, Watch::Word { line, word });
             }
-            FaultProbe::CacheResident { word: None, .. } | FaultProbe::TlbResident { .. } => {
+            Strike::Dl1Line { dirty: false, .. } | Strike::Tlb { .. } => {
                 // Timing-only: bare rider, nothing to track.
             }
-            FaultProbe::CacheDirtyLine { line } => {
+            Strike::Dl1Line { line, dirty: true } => {
                 self.set_watch(lane, Watch::DirtyLine { line });
             }
-            other => panic!("lane activation on non-batchable probe {other:?}"),
+            other => panic!("lane activation on non-batchable strike {other:?}"),
         }
     }
 

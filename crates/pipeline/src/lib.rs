@@ -46,9 +46,7 @@ pub mod thread;
 pub mod tracer;
 
 pub use crate::core::{SimBudget, SmtCore};
-pub use inject::{
-    target_entries, Fault, FaultProbe, FaultTarget, Landing, RetiredInst, Rewrite, Strike,
-};
+pub use inject::{target_entries, Fault, FaultTarget, Landing, RetiredInst, Rewrite, Strike};
 pub use lanes::LaneBatch;
 pub use result::SimResult;
 #[cfg(feature = "trace")]

@@ -8,7 +8,7 @@
 
 use sim_model::rng::splitmix64;
 use sim_model::{FetchPolicyKind, MachineConfig};
-use sim_pipeline::{Fault, FaultProbe, FaultTarget, LaneBatch, SmtCore};
+use sim_pipeline::{Fault, FaultTarget, LaneBatch, SmtCore, Strike};
 use sim_workload::{profile, TraceGenerator};
 
 fn smt2() -> SmtCore {
@@ -30,18 +30,21 @@ fn step_to(core: &mut SmtCore, target: u64) {
     }
 }
 
-/// Find a metadata probe (taint or poison) on the checkpoint so the batch
-/// has a genuinely armed lane when it forks.
-fn find_metadata_probe(core: &SmtCore) -> FaultProbe {
+/// Find a metadata strike (taint or poison) on the checkpoint so the
+/// batch has a genuinely armed lane when it forks.
+fn find_metadata_strike(core: &SmtCore) -> Strike {
     for target in [FaultTarget::RegFile, FaultTarget::Rob, FaultTarget::Iq] {
         for entry in 0..64u64 {
             for bit in [0u64, 20, 40] {
-                let probe = core.probe_fault(&Fault { target, entry, bit });
+                let strike = core.decode_fault(&Fault { target, entry, bit });
                 if matches!(
-                    probe,
-                    FaultProbe::TaintSlot { .. } | FaultProbe::PoisonReg { .. }
+                    strike,
+                    Strike::Taint {
+                        feeds_timing: false,
+                        ..
+                    } | Strike::PoisonReg { .. }
                 ) {
-                    return probe;
+                    return strike;
                 }
             }
         }
@@ -66,7 +69,7 @@ fn forked_core_is_byte_equal_to_a_never_batched_scalar_run() {
         // metadata strike so the event feed is on), then lane 1 "diverges"
         // at fork_at.
         let mut batch = LaneBatch::new(checkpoint.clone(), 2);
-        batch.activate(0, find_metadata_probe(batch.follower()));
+        batch.activate(0, find_metadata_strike(batch.follower()));
         batch.step_bounded(fork_at, u64::MAX);
         assert_eq!(batch.cycle(), fork_at, "trial {trial}");
         let mut forked = batch.fork();
@@ -112,9 +115,9 @@ fn armed_event_feed_never_perturbs_the_follower() {
     step_to(&mut golden, 4_000);
 
     let mut batch = LaneBatch::new(golden.clone(), 8);
-    let probe = find_metadata_probe(batch.follower());
+    let strike = find_metadata_strike(batch.follower());
     for lane in 0..8 {
-        batch.activate(lane, probe);
+        batch.activate(lane, strike);
     }
     let mut plain = golden.clone();
 

@@ -1,8 +1,8 @@
 //! The strike decoder at every field boundary.
 //!
 //! `SmtCore::decode_fault` is the one place a fault is resolved to the
-//! field it hits; `inject_fault` applies the decoded strike and
-//! `probe_fault` classifies it. The sampled agreement test in
+//! field it hits; `inject_fault` applies the decoded strike and the lane
+//! engine matches on it. The sampled agreement test in
 //! `sim-inject` draws bits uniformly and rarely lands on a field edge, so
 //! this suite walks the first and last bit of every budgeted field of
 //! every entry on warm two-thread machines, and checks that decoding is
@@ -12,7 +12,7 @@
 
 use avf_core::budgets;
 use sim_model::{FetchPolicyKind, MachineConfig};
-use sim_pipeline::{target_entries, Fault, FaultProbe, FaultTarget, Landing, SmtCore, Strike};
+use sim_pipeline::{target_entries, Fault, FaultTarget, Landing, SmtCore, Strike};
 use sim_workload::{profile, TraceGenerator};
 
 const TARGETS: [FaultTarget; 9] = [
@@ -227,7 +227,6 @@ fn out_of_range_entries_are_empty_on_every_target() {
                 bit: u64::MAX,
             };
             assert_eq!(core.decode_fault(&fault), Strike::Empty, "{fault:?}");
-            assert_eq!(core.probe_fault(&fault), FaultProbe::Empty, "{fault:?}");
             assert_eq!(core.inject_fault(&fault), Landing::Empty, "{fault:?}");
             assert_eq!(core.state_digest(), digest, "{fault:?}");
         }

@@ -258,9 +258,13 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
         server::short(&report.job),
         report.resumed_chunks,
         report.computed_chunks,
-        report.metrics.trials,
-        report.metrics.trial_secs,
-        report.metrics.trials_per_sec,
+        report.computed_trials,
+        report.elapsed_secs,
+        if report.elapsed_secs > 0.0 {
+            report.computed_trials as f64 / report.elapsed_secs
+        } else {
+            0.0
+        },
     );
     if metrics::enabled() {
         write_metrics_snapshot(&store, "submit.json");

@@ -11,7 +11,7 @@
 
 use crate::protocol::{read_frame, write_frame, WorkerChunk, WorkerReady, WorkerTask};
 use avf_core::AvfReport;
-use sim_inject::{CampaignMetrics, Landing, PreparedCampaign};
+use sim_inject::PreparedCampaign;
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
 use sim_store::{
@@ -81,8 +81,10 @@ pub struct JobReport {
     pub resumed_chunks: usize,
     /// Chunks computed by this run.
     pub computed_chunks: usize,
-    /// Execution metrics for the chunks computed by this run.
-    pub metrics: CampaignMetrics,
+    /// Trials in the chunks computed by this run.
+    pub computed_trials: u64,
+    /// Wall-clock seconds the run took.
+    pub elapsed_secs: f64,
 }
 
 /// Run `spec` to completion against the store at `store_dir`, sharding
@@ -102,28 +104,6 @@ pub fn run_job(store_dir: &Path, spec: &JobSpec, worker_procs: usize) -> Result<
     let computed_trials = (outcome.computed_chunks as u64)
         .saturating_mul(spec.chunk_trials.max(1) as u64)
         .min(trials);
-    let injected = outcome
-        .result
-        .records
-        .iter()
-        .filter(|r| r.landing == Landing::Injected)
-        .count() as u64;
-    let metrics = CampaignMetrics {
-        trials: computed_trials,
-        golden_secs: 0.0,
-        trial_secs: elapsed,
-        trials_per_sec: if elapsed > 0.0 {
-            computed_trials as f64 / elapsed
-        } else {
-            0.0
-        },
-        workers: worker_procs.max(1),
-        per_worker_jobs: Vec::new(),
-        injected_trials: injected,
-        early_exits: 0,
-        restore: None,
-        lane_stats: None,
-    };
     if metrics::enabled() {
         let reg = metrics::global();
         reg.counter("serve.jobs").inc();
@@ -133,14 +113,14 @@ pub fn run_job(store_dir: &Path, spec: &JobSpec, worker_procs: usize) -> Result<
             .add(outcome.computed_chunks as u64);
         reg.histogram("serve.job_us")
             .observe((elapsed * 1e6) as u64);
-        metrics.export(reg, "campaign");
     }
     Ok(JobReport {
         job: spec.id(),
         result: outcome.result,
         resumed_chunks: outcome.resumed_chunks,
         computed_chunks: outcome.computed_chunks,
-        metrics,
+        computed_trials,
+        elapsed_secs: elapsed,
     })
 }
 

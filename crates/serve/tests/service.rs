@@ -310,6 +310,23 @@ fn gc_after_crash_and_resume_changes_no_reachable_byte() {
     assert!(out.status.success(), "store must stay clean after gc");
 }
 
+/// Every counter in a metrics snapshot, by name. Snapshots put one metric
+/// per line: `"name": {"type": "counter", "value": N}`.
+fn snapshot_counters(body: &str) -> std::collections::BTreeMap<String, u64> {
+    body.lines()
+        .filter_map(|line| {
+            let (name, rest) = line
+                .trim()
+                .split_once("\": {\"type\": \"counter\", \"value\": ")?;
+            let value = rest.trim_end_matches(',').strip_suffix('}')?;
+            Some((
+                name.trim_start_matches('"').to_string(),
+                value.parse().ok()?,
+            ))
+        })
+        .collect()
+}
+
 #[test]
 fn metrics_are_observability_only_and_never_reach_the_store_objects() {
     // Same job with and without metrics: identical result bytes — the
@@ -353,6 +370,19 @@ fn metrics_are_observability_only_and_never_reach_the_store_objects() {
     );
     assert!(body.contains("serve.jobs"), "{body}");
     assert!(body.contains("store.publish_us"), "{body}");
+    // The in-process trial executor published what it actually ran: 8
+    // trials (4 per target), each resolved through exactly one lane class
+    // (`reconverged` is a subset of `forked`, not a class of its own).
+    let counters = snapshot_counters(&body);
+    assert_eq!(counters.get("campaign.trials"), Some(&8), "{body}");
+    let lane_trials: u64 = counters
+        .iter()
+        .filter_map(|(name, &n)| {
+            let class = name.strip_prefix("campaign.lane_")?;
+            (!class.contains('.') && class != "reconverged").then_some(n)
+        })
+        .sum();
+    assert_eq!(lane_trials, 8, "{body}");
     assert!(
         !without.join("metrics").exists(),
         "--no-metrics must write nothing"

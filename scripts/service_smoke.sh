@@ -16,7 +16,8 @@
 #   6. validate_avf --store at the default (lane-batched) must produce a
 #      store byte-identical to the scalar one: the lane-batched engine
 #      changes wall clock, never bytes, and the trial path is not part
-#      of job identity.
+#      of job identity. Its diagnostics must show the lane classes the
+#      trial executor published for the chunks it computed.
 #   7. Same byte-identity through sim-serve end to end on a cache-heavy
 #      target mix (dl1data,dl1tag,dtlb,itlb) — the strikes that resolve
 #      through the consumption-feed watches — submitted scalar
@@ -69,7 +70,11 @@ echo "==> service smoke: validate_avf --resume reuses the store"
 "${VALIDATE[@]}" --scalar --store "$C" --resume > /dev/null
 
 echo "==> service smoke: lane-batched store is byte-identical to scalar"
-"${VALIDATE[@]}" --store "$D" > /dev/null
+"${VALIDATE[@]}" --store "$D" > "$work/batched.txt"
+grep '^lane probe classes: ' "$work/batched.txt" || {
+  echo "validate_avf --store printed no lane probe classes" >&2
+  exit 1
+}
 diff -r "$C/objects" "$D/objects"
 diff -r "$C/refs" "$D/refs"
 

@@ -22,7 +22,8 @@
 //! the time series; combined with `--trace-out`, the AVF windows become
 //! counter tracks on the same timeline.
 
-use sim_inject::TrialPath;
+use sim_inject::{render_metrics, TrialPath};
+use sim_trace::metrics;
 use smt_avf::experiments::campaign::{
     default_campaign, validate_workload, validate_workload_stored,
 };
@@ -244,6 +245,9 @@ fn main() -> ExitCode {
         campaign.path = TrialPath::Scalar;
     }
     campaign.progress = true;
+    // The trial executor publishes its diagnostics (throughput, restores,
+    // lane classes) into the global registry; the summary renders them.
+    metrics::set_enabled(true);
     println!(
         "SFI campaign: workload {}, {} trials/structure over {} structures, seed {}, {} workers, {} checkpoints, {}",
         workload.name,
@@ -294,45 +298,7 @@ fn main() -> ExitCode {
     let detected: u64 = v.campaign.per_target.iter().map(|t| t.detected).sum();
     println!("\noutcomes: {masked} masked, {latent} latent, {sdc} SDC, {detected} detected");
 
-    let m = &v.campaign.metrics;
-    println!(
-        "campaign: {} trials in {:.2}s ({:.1} trials/s) on {} workers; \
-         {} injected, {} early exits",
-        m.trials, m.trial_secs, m.trials_per_sec, m.workers, m.injected_trials, m.early_exits
-    );
-    if let Some(r) = &m.restore {
-        println!(
-            "restores: {} from checkpoints, replay distance {}..{} cycles (mean {:.0})",
-            r.restores, r.min_cycles, r.max_cycles, r.mean_cycles
-        );
-    }
-    if let Some(ls) = &m.lane_stats {
-        let t = ls.totals();
-        println!(
-            "lane probe classes: {} prechecked, {} batched, {} resident-resolved, \
-             {} forked ({} reconverged early), {} deduped — fork rate {:.3}",
-            t.prechecked,
-            t.batched,
-            t.resident,
-            t.forked,
-            t.reconverged,
-            t.deduped,
-            t.fork_rate()
-        );
-        for (target, c) in &ls.per_target {
-            println!(
-                "  {:>8}: {:>4} prechecked {:>4} batched {:>4} resident {:>4} forked \
-                 ({:>3} reconverged) {:>3} deduped",
-                target.label(),
-                c.prechecked,
-                c.batched,
-                c.resident,
-                c.forked,
-                c.reconverged,
-                c.deduped
-            );
-        }
-    }
+    print!("{}", render_metrics(metrics::global(), &campaign.targets));
 
     if let Err(msg) = observe(&opts, &workload, &campaign) {
         eprintln!("{msg}");

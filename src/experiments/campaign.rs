@@ -11,9 +11,7 @@
 use crate::runner::{run_workload_on, workload_generators, RunError};
 use crate::scale::ExperimentScale;
 use avf_core::{compare, ComparisonRow};
-use sim_inject::{
-    run_campaign, CampaignConfig, CampaignMetrics, CampaignResult, InjectError, Landing,
-};
+use sim_inject::{run_campaign, CampaignConfig, CampaignResult, InjectError};
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::{SimResult, SmtCore};
 use sim_store::{decode_record, GoldenFingerprint, JobSpec, Store, DEFAULT_CHUNK_TRIALS};
@@ -146,8 +144,8 @@ pub fn stored_job_spec(
 /// content-addressed store at `store_dir`, chunk by chunk, resuming any
 /// chunks a previous (possibly killed) run already published. The
 /// returned validation is byte-identical to an uninterrupted
-/// [`validate_workload`] of the same configuration in its `records` and
-/// `per_target` fields; `metrics` reflects only the work this run did.
+/// [`validate_workload`] of the same configuration. Campaign diagnostics
+/// (`sim_inject::render_metrics`) cover only the chunks this run computed.
 ///
 /// With `require_existing` (the CLI's `--resume`), the store must already
 /// hold state for this exact job — a typo'd flag resulting in a fresh
@@ -199,28 +197,10 @@ pub fn validate_workload_stored(
         .get(&golden_id)
         .map_err(|e| ValidationError::Store(e.to_string()))
         .and_then(|b| decode_record(&b).map_err(|e| ValidationError::Store(e.to_string())))?;
-    let injected = outcome
-        .result
-        .records
-        .iter()
-        .filter(|r| r.landing == Landing::Injected)
-        .count() as u64;
     let result = CampaignResult {
+        records: outcome.result.records,
         window: (golden.golden.start, golden.golden.end),
         per_target: outcome.result.per_target,
-        metrics: CampaignMetrics {
-            trials: outcome.result.records.len() as u64,
-            golden_secs: 0.0,
-            trial_secs: 0.0,
-            trials_per_sec: 0.0,
-            workers: campaign.workers.max(1),
-            per_worker_jobs: Vec::new(),
-            injected_trials: injected,
-            early_exits: 0,
-            restore: None,
-            lane_stats: None,
-        },
-        records: outcome.result.records,
     };
     let rows = compare(&ace.report, &result.sfi_points());
     Ok(SfiValidation {
