@@ -70,6 +70,17 @@ impl PoolStats {
     pub fn total_jobs(&self) -> u64 {
         self.per_worker_jobs.iter().sum()
     }
+
+    /// Add another call's tallies worker by worker, so a caller that
+    /// runs several pool phases over the same workers reports them as
+    /// one pool.
+    pub fn merge(&mut self, other: &PoolStats) {
+        let jobs = &mut self.per_worker_jobs;
+        jobs.resize(jobs.len().max(other.per_worker_jobs.len()), 0);
+        for (mine, theirs) in jobs.iter_mut().zip(&other.per_worker_jobs) {
+            *mine += theirs;
+        }
+    }
 }
 
 /// Execute `f(0..total)` on `workers` scoped threads and return the results
@@ -266,5 +277,15 @@ mod tests {
     fn serial_path_reports_one_worker() {
         let (_, stats) = run_indexed_stats(10, 1, |i| i);
         assert_eq!(stats.per_worker_jobs, vec![10]);
+    }
+
+    #[test]
+    fn merge_adds_phases_worker_by_worker() {
+        let (_, mut stats) = run_indexed_stats(10, 1, |i| i);
+        let (_, other) = run_indexed_stats(4, 2, |i| i);
+        stats.merge(&other);
+        assert_eq!(stats.per_worker_jobs.len(), 2);
+        assert_eq!(stats.total_jobs(), 14);
+        assert_eq!(stats.per_worker_jobs[0], 10 + other.per_worker_jobs[0]);
     }
 }

@@ -60,6 +60,7 @@ pub use sim_pipeline::{target_entries, Fault, FaultTarget, Landing, RetiredInst}
 use sim_pipeline::{LaneBatch, SimBudget, SmtCore, Strike};
 use sim_trace::metrics::{self, MetricsRegistry};
 use sim_workload::InstSource;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// An error preparing or executing a fault-injection campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -329,7 +330,8 @@ pub struct TargetSummary {
 /// How the lane-batch engine classified one target's trials: every trial
 /// resolves through exactly one of `prechecked`, `batched`, `resident`,
 /// `forked`, or `deduped`. Deterministic for a given campaign (a pure
-/// function of the batch plan, which is worker-count-independent).
+/// function of the batch plan and the tail plan, both
+/// worker-count-independent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneClassCounts {
     /// Resolved when the strike is decoded, without occupying a lane
@@ -343,15 +345,16 @@ pub struct LaneClassCounts {
     /// addresses) under a consumption watch, and untouched lost dirty
     /// lines.
     pub resident: u64,
-    /// Scalar runs actually executed: immediate `Diverges` forks plus
-    /// watched lanes whose lost dirty line was touched (doomed
-    /// fallbacks).
+    /// Scalar tails actually executed: immediate forks (a taint that
+    /// feeds timing) plus watched lanes whose lost dirty line was
+    /// touched (doomed fallbacks).
     pub forked: u64,
     /// Of `forked`, runs the convergence check cut short — the machine
     /// provably re-merged with the golden run before the commit target.
     pub reconverged: u64,
-    /// Trials that shared an already-executed fork with the identical
-    /// `(fault, cycle)` key instead of running (disjoint from `forked`).
+    /// Forking trials that shared the tail of another trial in the same
+    /// executor range with the identical `(fault, cycle)` key instead
+    /// of running (disjoint from `forked`).
     pub deduped: u64,
 }
 
@@ -407,7 +410,7 @@ impl LaneClassCounts {
 }
 
 /// Per-target [`LaneClassCounts`] for a batched campaign, keyed in order
-/// of first appearance in the (deterministic) batch plan.
+/// of first appearance in the (deterministic) batch plan, then tail plan.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LaneStats {
     /// `(target, counts)` pairs; every executed target appears once.
@@ -681,7 +684,7 @@ fn check_window(golden: &GoldenRun, inject_cycle: u64) -> Result<(), InjectError
 /// convergence check schedule starts at the injection cycle in both
 /// paths); it lives here rather than in `Outcome` because it describes how
 /// the verdict was reached, not what it is.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TrialRun {
     landing: Landing,
     outcome: Outcome,
@@ -995,17 +998,33 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
         F: Fn() -> SmtCore<S>,
     {
         let s = self.sample(index);
-        let run = match &self.checkpointed {
+        self.exec(index, &s, self.tail_run(factory, &s, s.cycle))
+    }
+
+    /// The one scalar trial tail: restore the snapshot nearest at or
+    /// before `restore` (replay from zero on the oracle path), then inject
+    /// `s` and run it out. `restore` is the injection cycle except for a
+    /// doomed lost-dirty-line lane, which may restore later (DESIGN §5j).
+    fn tail_run<F>(&self, factory: &F, s: &SampledTrial, restore: u64) -> TrialRun
+    where
+        F: Fn() -> SmtCore<S>,
+    {
+        let hang_cycles = self.cfg.hang_cycles;
+        match &self.checkpointed {
             Some(c) => {
-                let core = c.nearest_at_or_before(s.cycle).clone();
-                finish_trial(core, &c.golden, s.fault, s.cycle, self.cfg.hang_cycles)
+                let core = c.nearest_at_or_before(restore).clone();
+                finish_trial(core, &c.golden, s.fault, s.cycle, hang_cycles)
             }
             None => {
                 let factory = configured_factory(factory, self.cfg.path);
                 let core = warmed_core(&factory, self.cfg.budget);
-                finish_trial(core, self.golden(), s.fault, s.cycle, self.cfg.hang_cycles)
+                finish_trial(core, self.golden(), s.fault, s.cycle, hang_cycles)
             }
-        };
+        }
+    }
+
+    /// Trial `index`'s exec, given its sample and how it ran.
+    fn exec(&self, index: usize, s: &SampledTrial, run: TrialRun) -> TrialExec {
         TrialExec {
             record: TrialRecord {
                 target: s.target,
@@ -1022,12 +1041,11 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
     }
 }
 
-/// Group the trial range `[start, start + len)` into lane batches: trials
-/// are bucketed by the golden snapshot they restore, ordered by
-/// `(injection cycle, index)` within a bucket — a batch's follower visits
-/// each lane's injection cycle in nondecreasing order — and chunked into
-/// groups of at most `lanes`. A pure function of the prepared state, so
-/// the batch plan (and with it every record) is identical for any worker
+/// Group the trial range `[start, start + len)` into lane batches: one
+/// global order by `(injection cycle, index)`, chunked into groups of at
+/// most `lanes` — a batch's follower visits each lane's injection cycle
+/// in nondecreasing order. A pure function of the prepared state, so the
+/// batch plan (and with it every record) is identical for any worker
 /// count.
 fn plan_batches<S: InstSource + Clone>(
     prepared: &PreparedCampaign<S>,
@@ -1066,38 +1084,88 @@ struct Rider {
     next_check: u64,
 }
 
-/// Run (or reuse) the scalar tail for a forking trial. Two trials with
-/// the same `(fault, cycle)` key restore the same snapshot, step the same
-/// delta, flip the same bit and diff against the same golden streams —
-/// their `TrialRun`s are equal by construction (everything downstream of
-/// the key is deterministic), so the batch executes the first and shares
-/// it with any duplicate sampled later in the same batch.
-fn forked_run(
-    cache: &mut Vec<(Fault, u64, TrialRun)>,
-    counts: &mut LaneClassCounts,
-    fault: Fault,
-    cycle: u64,
-    run: impl FnOnce() -> TrialRun,
-) -> TrialRun {
-    if let Some((_, _, hit)) = cache.iter().find(|(f, c, _)| *f == fault && *c == cycle) {
-        counts.deduped += 1;
-        return *hit;
+/// A forking trial deferred to the tail phase: its global index and the
+/// cycle whose nearest snapshot its scalar tail restores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Tail {
+    index: usize,
+    restore: u64,
+}
+
+/// One scalar tail to run, plus the trials that share its result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct TailJob {
+    /// The lowest-indexed trial with this key, and the restore cycle
+    /// the job uses.
+    tail: Tail,
+    /// The struck structure (the key's, so every sharer's too).
+    target: FaultTarget,
+    /// Global indices of the other trials with the same key.
+    dups: Vec<usize>,
+}
+
+/// Deduplicate and order a trial range's deferred tails. Two trials with
+/// the same `(fault, cycle)` key produce the same [`TrialRun`]: they
+/// inject the same bit at the same cycle into the same golden machine,
+/// and every valid restore point of one is valid for the other (an
+/// immediate fork restores at the injection cycle; a doomed
+/// lost-dirty-line lane's pre-step cycle precedes the first touch, which
+/// is a property of the golden run, not of the batch). So each key runs
+/// once, from the latest restore cycle any of its trials recorded, and
+/// its other trials share the result. Jobs run in ascending restore
+/// cycle — the longest tails start first. The plan depends only on the
+/// set of tails, never on their order.
+fn plan_tails(mut tails: Vec<Tail>, key: impl Fn(usize) -> (Fault, u64)) -> Vec<TailJob> {
+    tails.sort_unstable_by_key(|t| t.index);
+    let mut jobs: Vec<TailJob> = Vec::new();
+    let mut job_of: HashMap<(Fault, u64), usize> = HashMap::new();
+    for t in tails {
+        let (fault, cycle) = key(t.index);
+        match job_of.entry((fault, cycle)) {
+            Entry::Occupied(e) => {
+                let job = &mut jobs[*e.get()];
+                job.tail.restore = job.tail.restore.max(t.restore);
+                job.dups.push(t.index);
+            }
+            Entry::Vacant(e) => {
+                e.insert(jobs.len());
+                jobs.push(TailJob {
+                    tail: t,
+                    target: fault.target,
+                    dups: Vec::new(),
+                });
+            }
+        }
     }
-    let r = run();
-    counts.forked += 1;
-    if r.early_exit {
-        counts.reconverged += 1;
+    jobs.sort_unstable_by_key(|j| (j.tail.restore, j.tail.index));
+    jobs
+}
+
+/// Hand each job's run to its trial and every sharer, in job order, and
+/// tally it: one `forked` (plus `reconverged` on an early exit) per job,
+/// one `deduped` per sharer.
+fn fold_tails(jobs: &[TailJob], runs: &[TrialRun]) -> (Vec<(usize, TrialRun)>, LaneStats) {
+    let mut resolved = Vec::new();
+    let mut stats = LaneStats::default();
+    for (job, &run) in jobs.iter().zip(runs) {
+        let c = stats.counts_mut(job.target);
+        c.forked += 1;
+        c.reconverged += u64::from(run.early_exit);
+        c.deduped += job.dups.len() as u64;
+        resolved.push((job.tail.index, run));
+        resolved.extend(job.dups.iter().map(|&i| (i, run)));
     }
-    cache.push((fault, cycle, r));
-    r
+    (resolved, stats)
 }
 
 /// Execute one lane batch: restore the shared snapshot once, step the
 /// follower through the golden timing, and resolve every lane — metadata
 /// strikes ride the follower's lane masks, resident cache/TLB strikes
 /// ride bare (timing-only) or under a DL1 watch (poisoned word, its
-/// escaped stale address, or a lost dirty line), everything else forks
-/// to the scalar [`finish_trial`] path.
+/// escaped stale address, or a lost dirty line), everything else forks:
+/// it comes back as a deferred [`Tail`] for the scalar tail phase.
+/// Returns the lanes resolved in-batch as `(global index, exec)` pairs,
+/// the in-batch tally, and the tails.
 ///
 /// Equivalence with the scalar path, lane by lane:
 /// * the follower's clock is bounded by every rider's externally
@@ -1129,15 +1197,16 @@ fn forked_run(
 ///   machine's timing is identical until then, and its stale words make
 ///   it permanently residual (Latent, no early exit), exactly like the
 ///   scalar trial. The first touch dooms the lane, which re-runs as a
-///   full scalar trial from its snapshot — exact by construction, merely
+///   full scalar trial from a snapshot — exact by construction, merely
 ///   slower;
-/// * a forked lane starts from a clone of the follower, which is
-///   bit-identical to a scalar restore of the same snapshot stepped to
-///   the same cycle.
+/// * a forked lane's tail is the scalar trial itself: the follower at
+///   the injection cycle is bit-identical to a scalar restore of the same
+///   snapshot stepped to that cycle, so the decode it forked on is the
+///   one the tail's injection sees.
 fn run_one_batch<S: InstSource + Clone>(
     prepared: &PreparedCampaign<S>,
     indices: &[usize],
-) -> (Vec<TrialExec>, LaneStats) {
+) -> (Vec<(usize, TrialExec)>, LaneStats, Vec<Tail>) {
     let ckpt = prepared
         .checkpointed
         .as_ref()
@@ -1155,32 +1224,26 @@ fn run_one_batch<S: InstSource + Clone>(
     let mut stats = LaneStats::default();
     // Lane k rides under a consumption-feed watch (vs. taint/poison masks).
     let mut was_resident = vec![false; indices.len()];
-    // Lane k rides a lost dirty line: if doomed, its fork may restore a
+    // Lane k rides a lost dirty line: if doomed, its tail may restore a
     // snapshot *past* the injection cycle (see the take_doomed loop).
     let mut dirty_line = vec![false; indices.len()];
-    // Executed scalar tails, keyed for duplicate-fork sharing.
-    let mut fork_cache: Vec<(Fault, u64, TrialRun)> = Vec::new();
+    let mut tails: Vec<Tail> = Vec::new();
 
-    let make_exec = |k: usize, landing: Landing, outcome: Outcome, early_exit: bool| TrialExec {
-        record: TrialRecord {
-            target: samples[k].target,
-            trial: indices[k] % prepared.cfg.trials_per_structure,
-            entry: samples[k].fault.entry,
-            bit: samples[k].fault.bit,
-            cycle: samples[k].cycle,
+    let make_exec = |k: usize, landing: Landing, outcome: Outcome, early_exit: bool| {
+        let run = TrialRun {
             landing,
             outcome,
-        },
-        early_exit,
-        restore_distance: prepared.restore_distance(samples[k].cycle),
+            early_exit,
+        };
+        prepared.exec(indices[k], &samples[k], run)
     };
 
     loop {
         // Inject every trial whose cycle has arrived. The step bound never
         // overshoots a pending injection cycle, so the follower sits on
-        // exactly the cycle a scalar trial would inject at, and decodes /
-        // forks observe exactly the scalar pre-injection state (decoding
-        // and lane activation never mutate the follower's timing state).
+        // exactly the cycle a scalar trial would inject at, and decodes
+        // observe exactly the scalar pre-injection state (decoding and
+        // lane activation never mutate the follower's timing state).
         while pending < samples.len() && batch.cycle() >= samples[pending].cycle {
             debug_assert_eq!(batch.cycle(), samples[pending].cycle);
             let k = pending;
@@ -1218,25 +1281,12 @@ fn run_one_batch<S: InstSource + Clone>(
                 Strike::Taint {
                     feeds_timing: true, ..
                 } => {
-                    // Fork: clone the follower and run the existing scalar
-                    // trial tail (which re-steps zero cycles and injects
-                    // for real).
-                    let run = forked_run(
-                        &mut fork_cache,
-                        stats.counts_mut(samples[k].target),
-                        samples[k].fault,
-                        samples[k].cycle,
-                        || {
-                            finish_trial(
-                                batch.fork(),
-                                golden,
-                                samples[k].fault,
-                                samples[k].cycle,
-                                hang_cycles,
-                            )
-                        },
-                    );
-                    out[k] = Some(make_exec(k, run.landing, run.outcome, run.early_exit));
+                    // Fork: defer to a scalar tail that restores at the
+                    // injection cycle and injects for real.
+                    tails.push(Tail {
+                        index: indices[k],
+                        restore: samples[k].cycle,
+                    });
                 }
             }
         }
@@ -1327,8 +1377,8 @@ fn run_one_batch<S: InstSource + Clone>(
         // reached the commit target still belongs to both histories, and
         // a doomed lane's verdict must come from its own scalar run.
         //
-        // A doomed *lost-dirty-line* lane forks from the snapshot nearest
-        // the pre-step cycle `now` instead of the injection cycle: until
+        // A doomed *lost-dirty-line* lane's tail restores the snapshot
+        // nearest the pre-step cycle `now`, not the injection cycle: until
         // its first touch (the doom, strictly after `now`) the struck
         // machine is the golden machine minus one valid line, and
         // injecting the same fault into the golden snapshot re-creates
@@ -1346,46 +1396,39 @@ fn run_one_batch<S: InstSource + Clone>(
             let lane = doomed.trailing_zeros() as usize;
             doomed &= doomed - 1;
             riders.retain(|r| r.lane != lane);
-            let restore_at = if dirty_line[lane] {
-                now
-            } else {
-                samples[lane].cycle
-            };
-            let run = forked_run(
-                &mut fork_cache,
-                stats.counts_mut(samples[lane].target),
-                samples[lane].fault,
-                samples[lane].cycle,
-                || {
-                    finish_trial(
-                        ckpt.nearest_at_or_before(restore_at).clone(),
-                        golden,
-                        samples[lane].fault,
-                        samples[lane].cycle,
-                        hang_cycles,
-                    )
+            tails.push(Tail {
+                index: indices[lane],
+                restore: if dirty_line[lane] {
+                    now
+                } else {
+                    samples[lane].cycle
                 },
-            );
-            out[lane] = Some(make_exec(lane, run.landing, run.outcome, run.early_exit));
+            });
         }
     }
 
-    let execs = out
-        .into_iter()
-        .map(|o| o.expect("every lane resolved"))
+    let resolved: Vec<(usize, TrialExec)> = indices
+        .iter()
+        .zip(out)
+        .filter_map(|(&i, exec)| Some((i, exec?)))
         .collect();
-    (execs, stats)
+    debug_assert_eq!(resolved.len() + tails.len(), indices.len());
+    (resolved, stats, tails)
 }
 
 /// Execute the trial range `[start, start + len)` on the prepared
 /// campaign's [`TrialPath`], returning execs in trial-index order plus the
 /// worker pool's scheduling stats and the lane engine's per-target
 /// classification tally. Every path gives the same records at any worker
-/// count: the batched path's batch is the pool's job unit and results
-/// scatter by global index; every other path runs one trial per job. The
-/// tally is `None` off the batched path (or for an empty range);
-/// otherwise it is deterministic — batches merge in plan order, which no
-/// worker count can reshuffle.
+/// count, because results scatter by global index. The batched path runs
+/// two pool phases over the same workers: phase 1 runs the lane batches,
+/// one job each; phase 2 runs the forked trials' scalar tails, one job
+/// per distinct `(fault, cycle)` key ([`plan_tails`]), so a batch's forks
+/// no longer run serially behind one worker. Every other path runs one
+/// trial per job. The pool stats sum both phases per worker. The tally
+/// is `None` off the batched path (or for an empty range); otherwise it
+/// is deterministic — batches merge in plan order and tails in job
+/// order, neither of which a worker count can reshuffle.
 ///
 /// This is the one producer of campaign diagnostics: when
 /// [`metrics::enabled`], each call publishes its tallies into
@@ -1421,22 +1464,42 @@ where
     let (execs, pool, lane_stats) = match path.lanes() {
         Some(lanes) if len > 0 => {
             let batches = plan_batches(prepared, start, len, lanes);
-            let (per_batch, pool) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
-                let (execs, batch_stats) = run_one_batch(prepared, &batches[b]);
-                heartbeat(execs.len() as u64);
-                (execs, batch_stats)
+            let (per_batch, mut pool) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
+                let batch = run_one_batch(prepared, &batches[b]);
+                heartbeat(batch.0.len() as u64);
+                batch
             });
             let mut out: Vec<Option<TrialExec>> = vec![None; len];
             let mut lane_stats = LaneStats::default();
-            for (b, (execs, batch_stats)) in per_batch.into_iter().enumerate() {
+            let mut tails = Vec::new();
+            for (resolved, batch_stats, batch_tails) in per_batch {
                 lane_stats.merge(&batch_stats);
-                for (k, exec) in execs.into_iter().enumerate() {
-                    out[batches[b][k] - start] = Some(exec);
+                tails.extend(batch_tails);
+                for (i, exec) in resolved {
+                    out[i - start] = Some(exec);
                 }
+            }
+
+            let jobs = plan_tails(tails, |i| {
+                let s = prepared.sample(i);
+                (s.fault, s.cycle)
+            });
+            let (runs, tail_pool) = sim_exec::run_indexed_stats(jobs.len(), workers, |j| {
+                let job = &jobs[j];
+                let s = prepared.sample(job.tail.index);
+                let run = prepared.tail_run(factory, &s, job.tail.restore);
+                heartbeat(1 + job.dups.len() as u64);
+                run
+            });
+            pool.merge(&tail_pool);
+            let (resolved, tail_stats) = fold_tails(&jobs, &runs);
+            lane_stats.merge(&tail_stats);
+            for (i, run) in resolved {
+                out[i - start] = Some(prepared.exec(i, &prepared.sample(i), run));
             }
             let execs = out
                 .into_iter()
-                .map(|o| o.expect("batches tile the trial range"))
+                .map(|o| o.expect("batches and tails tile the trial range"))
                 .collect();
             (execs, pool, Some(lane_stats))
         }
@@ -1678,6 +1741,77 @@ mod tests {
             assert!(target_bits(t, &cfg) > 0, "{t:?} bits");
         }
         assert_eq!(target_entries(FaultTarget::Fu, &cfg), 28, "Table 1 FUs");
+    }
+
+    #[test]
+    fn tail_dedupe_runs_each_key_once_and_ignores_input_order() {
+        let fault = |target, entry| Fault {
+            target,
+            entry,
+            bit: 3,
+        };
+        // Trials 2, 5 and 9 share a key; 4 and 7 share another, 7 having
+        // recorded a later restore; 1 strikes the same bit as 2 at another
+        // cycle, so it is a key of its own.
+        let key = |i: usize| match i {
+            2 | 5 | 9 => (fault(FaultTarget::Iq, 11), 500),
+            4 | 7 => (fault(FaultTarget::Rob, 3), 800),
+            1 => (fault(FaultTarget::Iq, 11), 900),
+            _ => unreachable!("trial {i} has no tail"),
+        };
+        let tail = |index, restore| Tail { index, restore };
+        let mut tails = [
+            tail(5, 500),
+            tail(1, 900),
+            tail(7, 950),
+            tail(2, 500),
+            tail(9, 500),
+            tail(4, 800),
+        ];
+        let jobs = plan_tails(tails.to_vec(), key);
+        let planned: Vec<(Tail, Vec<usize>)> =
+            jobs.iter().map(|j| (j.tail, j.dups.clone())).collect();
+        assert_eq!(
+            planned,
+            vec![
+                (tail(2, 500), vec![5, 9]),
+                (tail(1, 900), vec![]),
+                (tail(4, 950), vec![7]),
+            ],
+            "one job per key, lowest index, latest restore, ascending restore"
+        );
+        for _ in 0..tails.len() {
+            tails.rotate_left(1);
+            assert_eq!(plan_tails(tails.to_vec(), key), jobs);
+        }
+        tails.reverse();
+        assert_eq!(plan_tails(tails.to_vec(), key), jobs);
+
+        let run = |outcome, early_exit| TrialRun {
+            landing: Landing::Injected,
+            outcome,
+            early_exit,
+        };
+        let runs = [
+            run(Outcome::Sdc, false),
+            run(Outcome::Masked, true),
+            run(Outcome::Latent, false),
+        ];
+        let (resolved, stats) = fold_tails(&jobs, &runs);
+        let mut indices: Vec<usize> = resolved.iter().map(|&(i, _)| i).collect();
+        indices.sort_unstable();
+        assert_eq!(indices, [1, 2, 4, 5, 7, 9], "every trial resolves once");
+        let run_of = |i: usize| resolved.iter().find(|&&(k, _)| k == i).expect("resolved").1;
+        for (trial, owner) in [(2, 0), (5, 0), (9, 0), (1, 1), (4, 2), (7, 2)] {
+            assert_eq!(run_of(trial), runs[owner], "trial {trial}");
+        }
+        let counts = |t| {
+            let c = stats.for_target(t).expect("tallied");
+            (c.forked, c.reconverged, c.deduped)
+        };
+        assert_eq!(counts(FaultTarget::Iq), (2, 1, 2));
+        assert_eq!(counts(FaultTarget::Rob), (1, 0, 1));
+        assert_eq!(stats.totals().trials(), 6);
     }
 
     #[test]

@@ -80,6 +80,52 @@ fn batched_trial_range_matches_scalar_execs_including_metrics() {
 }
 
 #[test]
+fn fork_tails_are_their_own_pool_jobs_and_match_run_index() {
+    // IQ and ROB strikes fork most often (renamed source tags and
+    // pre-issue addresses feed timing), and a full four-context memory mix
+    // keeps both queues occupied. Every forking trial leaves its batch and
+    // runs as one pool job of the tail phase, so the pool sees one job per
+    // batch plus one per executed tail, and the tally folds in job order
+    // whatever the worker count.
+    let factory = || {
+        let cfg = MachineConfig::ispass07_baseline().with_contexts(4);
+        let gens = ["mcf", "equake", "vpr", "swim"]
+            .iter()
+            .enumerate()
+            .map(|(i, p)| TraceGenerator::new(profile(p).expect("profiled"), i as u64 + 3))
+            .collect();
+        SmtCore::new(cfg, gens)
+    };
+    let budget = SimBudget::total_instructions(6_000).with_warmup(2_000);
+    let mut cfg = CampaignConfig::new(24, 0xF02C, budget);
+    cfg.targets = vec![FaultTarget::Iq, FaultTarget::Rob];
+    for lanes in [4usize, 64] {
+        cfg.path = TrialPath::Batched { lanes };
+        let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("prepare");
+        let len = prepared.total_trials();
+        let scalar: Vec<TrialExec> = (0..len).map(|i| prepared.run_index(&factory, i)).collect();
+        let mut first: Option<LaneStats> = None;
+        for workers in [1usize, 2, 4] {
+            let (execs, pool, lane_stats) =
+                run_trials_batched_full(&prepared, &factory, 0, len, workers);
+            assert_eq!(scalar, execs, "{lanes} lanes, {workers} workers");
+            let lane_stats = lane_stats.expect("range ran batched");
+            let forked = lane_stats.totals().forked;
+            assert!(forked > 0, "{lanes} lanes: the campaign must fork");
+            assert_eq!(
+                pool.total_jobs(),
+                len.div_ceil(lanes) as u64 + forked,
+                "{lanes} lanes, {workers} workers: one job per batch and per tail"
+            );
+            match &first {
+                None => first = Some(lane_stats),
+                Some(s) => assert_eq!(s, &lane_stats, "{lanes} lanes, {workers} workers"),
+            }
+        }
+    }
+}
+
+#[test]
 fn executor_on_a_replay_from_zero_campaign_matches_run_index() {
     // No checkpoints exist on the replay-from-zero path, so the executor
     // runs its scalar branch, which must match per-index execution.

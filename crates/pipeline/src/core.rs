@@ -2127,8 +2127,8 @@ impl<S: InstSource> SmtCore<S> {
         }
     }
 
-    /// Disarm the feed and drop pending events. Forked clones call this:
-    /// a scalar fork maintains its own `FaultState` directly.
+    /// Disarm the feed and drop pending events (an idle batch stops
+    /// paying for events no lane would read).
     pub(crate) fn lane_events_disable(&mut self) {
         self.lane_events = None;
     }

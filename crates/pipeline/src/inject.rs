@@ -67,7 +67,7 @@ impl FaultTarget {
 /// One single-bit fault: flip `bit` of physical `entry` in `target` at the
 /// moment [`SmtCore::inject_fault`](crate::SmtCore::inject_fault) is
 /// called.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fault {
     /// The struck array.
     pub target: FaultTarget,

@@ -51,11 +51,12 @@
 //! Strikes that would mutate live scheduling state (renamed source tags,
 //! pre-issue effective addresses, recorded PCs) are detected up front by
 //! [`SmtCore::decode_fault`] (a [`Strike::Taint`] that `feeds_timing`)
-//! and *forked*: the lane clones the follower (bit-identical, by the
-//! snapshot property the checkpointed campaigns already rely on) and runs
-//! the existing scalar path. Divergence detection is conservative by
-//! construction — decoding only has to be exact about the cheap cases,
-//! because the fork is always correct.
+//! and *forked*: the lane leaves the batch and its trial runs the
+//! ordinary scalar path from a golden checkpoint (the follower at the
+//! injection cycle is bit-identical to that restore, by the snapshot
+//! property the checkpointed campaigns already rely on). Divergence
+//! detection is conservative by construction — decoding only has to be
+//! exact about the cheap cases, because the fork is always correct.
 
 use crate::core::SmtCore;
 use crate::inject::Strike;
@@ -367,20 +368,6 @@ impl<S: InstSource> LaneBatch<S> {
         self.arm_lane_feed();
         self.watch[lane] = Some(w);
         self.watch_count += 1;
-    }
-
-    /// Clone the follower for a diverging lane's scalar run. The clone is
-    /// bit-identical to the follower (and so to a scalar restore of the
-    /// same checkpoint stepped to this cycle); its event feed is disarmed
-    /// because a scalar trial maintains its own `FaultState` directly.
-    pub fn fork(&self) -> SmtCore<S>
-    where
-        S: Clone,
-    {
-        let mut core = self.follower.clone();
-        core.lane_events_disable();
-        core.consumption_disable();
-        core
     }
 
     /// Advance the follower until its clock reaches `bound` or its commit

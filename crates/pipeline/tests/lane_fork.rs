@@ -1,10 +1,12 @@
 //! The fork-correctness invariant of the lane-batch engine, separate
-//! from the end-to-end campaign equivalence suite: a core forked out of a
-//! `LaneBatch` at an arbitrary cycle must be byte-equal to a never-batched
+//! from the end-to-end campaign equivalence suite: a `LaneBatch`'s
+//! follower at an arbitrary cycle must be byte-equal to a never-batched
 //! scalar core cloned from the same checkpoint and stepped to the same
 //! cycle — even when the batch carries armed lanes, and regardless of the
 //! bound sequences either side stepped with. This is what makes lazy
-//! divergence forking exact: the fork inherits nothing from the batching.
+//! divergence forking exact: a forking lane decodes its strike on the
+//! follower, and its deferred scalar tail restores the checkpoint and
+//! steps to the same cycle, so it injects into exactly that state.
 
 use sim_model::rng::splitmix64;
 use sim_model::{FetchPolicyKind, MachineConfig};
@@ -53,9 +55,9 @@ fn find_metadata_strike(core: &SmtCore) -> Strike {
 }
 
 #[test]
-fn forked_core_is_byte_equal_to_a_never_batched_scalar_run() {
-    // Checkpoint a messy mid-flight machine, then fork lanes at
-    // pseudo-random cycles and hold each fork to a scalar clone of the
+fn follower_at_a_fork_is_byte_equal_to_a_never_batched_scalar_run() {
+    // Checkpoint a messy mid-flight machine, then stop the follower at
+    // pseudo-random fork cycles and hold it to a scalar clone of the
     // same checkpoint stepped to the same cycle.
     let mut golden = smt2();
     step_to(&mut golden, 4_000);
@@ -72,35 +74,36 @@ fn forked_core_is_byte_equal_to_a_never_batched_scalar_run() {
         batch.activate(0, find_metadata_strike(batch.follower()));
         batch.step_bounded(fork_at, u64::MAX);
         assert_eq!(batch.cycle(), fork_at, "trial {trial}");
-        let mut forked = batch.fork();
 
         // Scalar side: never batched, never instrumented.
         let mut scalar = checkpoint.clone();
         step_to(&mut scalar, fork_at);
 
+        let follower = batch.follower();
         assert_eq!(
-            forked.state_digest(),
+            follower.state_digest(),
             scalar.state_digest(),
-            "fork at cycle {fork_at} diverged from the scalar clone (trial {trial})"
+            "follower at fork cycle {fork_at} diverged from the scalar clone (trial {trial})"
         );
-        assert_eq!(forked.dump_state(), scalar.dump_state(), "trial {trial}");
+        assert_eq!(follower.dump_state(), scalar.dump_state(), "trial {trial}");
 
-        // And the fork keeps stepping bit-identically afterwards — with
+        // And both keep stepping bit-identically afterwards — with
         // *different* bound sequences, per the fast-forward invariant.
         let further = fork_at + 3_000;
-        step_to(&mut forked, further);
+        batch.step_bounded(further, u64::MAX);
         while scalar.cycle() < further {
             let bound = (scalar.cycle() + 1 + splitmix64(&mut seed) % 700).min(further);
             scalar.step_fast_bounded(bound);
         }
-        assert_eq!(forked.cycle(), scalar.cycle(), "trial {trial}");
+        let follower = batch.follower();
+        assert_eq!(follower.cycle(), scalar.cycle(), "trial {trial}");
         assert_eq!(
-            forked.total_committed(),
+            follower.total_committed(),
             scalar.total_committed(),
             "trial {trial}"
         );
         assert_eq!(
-            forked.state_digest(),
+            follower.state_digest(),
             scalar.state_digest(),
             "post-fork stepping diverged (trial {trial})"
         );
