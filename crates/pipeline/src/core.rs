@@ -5,7 +5,7 @@ use crate::inject::{
     target_entries, Fault, FaultState, FaultTarget, Landing, RetiredInst, Rewrite, Strike,
 };
 use crate::lanes::LaneEvent;
-use crate::resources::{FreeList, FuPool, IqEntry, IssueQueue, RegTracker};
+use crate::resources::{FreeList, FuPool, IssueQueue, RegTracker, Wakeup};
 use crate::result::{SimResult, ThreadStats};
 use crate::slot::{FrontEndInst, Slot, SlotState};
 use crate::thread::{MemDep, ThreadCtx, FETCH_QUEUE_CAP};
@@ -79,6 +79,8 @@ pub struct SmtCore<S = TraceGenerator> {
     avf: AvfEngine,
     policy: FetchPolicyEngine,
     iq: IssueQueue,
+    /// The IQ's ready list and per-register waiter lists (see [`Wakeup`]).
+    wake: Wakeup,
     fus: FuPool,
     int_free: FreeList,
     fp_free: FreeList,
@@ -143,8 +145,6 @@ pub struct SmtCore<S = TraceGenerator> {
 struct Scratch {
     /// FLUSH triggers `(thread, ftag)` collected while issuing.
     flushes: Vec<(usize, u64)>,
-    /// Copy of the IQ's oldest-first entries iterated by select.
-    iq_order: Vec<IqEntry>,
     /// Squashed correct-path ROB tail, youngest-first (replayed oldest-first).
     replay_rev: Vec<sim_model::Inst>,
     /// Squashed correct-path front-end instructions, oldest-first.
@@ -250,6 +250,7 @@ impl<S: InstSource> SmtCore<S> {
             cfg.iq_entries / cfg.contexts as u32,
         );
         let iq = IssueQueue::new(cfg.iq_entries);
+        let wake = Wakeup::new(cfg.iq_entries, cfg.int_phys_regs, cfg.fp_phys_regs);
         let n = cfg.contexts;
         let cfg2 = (cfg.int_phys_regs, cfg.fp_phys_regs);
         let rob_total = n * cfg.rob_entries_per_thread as usize;
@@ -261,6 +262,7 @@ impl<S: InstSource> SmtCore<S> {
             avf,
             policy,
             iq,
+            wake,
             fus,
             int_free,
             fp_free,
@@ -487,11 +489,11 @@ impl<S: InstSource> SmtCore<S> {
     /// the cycle they would in a cycle-by-cycle run.
     pub fn step_fast_bounded(&mut self, limit: u64) {
         debug_assert!(self.cycle < limit, "fast-forward bound must be ahead");
-        // The quiescence scan costs O(threads + IQ) — worth paying only
-        // when a stall looks plausible. A cycle that just committed is in
-        // a busy phase; gating on a one-cycle commit gap skips the scan
-        // for the vast majority of active cycles at the price of one
-        // plain step when entering each stall span.
+        // The quiescence scan costs O(threads + ready IQ entries) — worth
+        // paying only when a stall looks plausible. A cycle that just
+        // committed is in a busy phase; gating on a one-cycle commit gap
+        // skips the scan for the vast majority of active cycles at the
+        // price of one plain step when entering each stall span.
         if self.fast_forward && self.cycle > self.last_commit_cycle + 1 {
             if let Some(next) = self.next_activity_cycle() {
                 let target = next.min(limit);
@@ -558,9 +560,11 @@ impl<S: InstSource> SmtCore<S> {
             }
         }
         // (c) Issue: an IQ entry with ready sources might issue this cycle.
-        // Sources only become ready through completion events, so during a
-        // skipped span no new entry can wake.
-        for e in self.iq.entries() {
+        // Every such entry is on the ready list (which may also hold a
+        // demotion candidate, hence the re-check). Entries off the list
+        // wait on an unwritten register, and only a completion event —
+        // case (a) — writes one, so during a skipped span no entry wakes.
+        for e in &self.wake.ready {
             let slot = &self.threads[e.thread.index()].slab[e.slot as usize];
             if self.srcs_ready(slot) {
                 return None;
@@ -862,6 +866,7 @@ impl<S: InstSource> SmtCore<S> {
                 } else {
                     self.int_regs.on_write(p, now, value_ace);
                 }
+                self.wake_waiters(fp, p);
                 // A tainted producer writes a corrupt value; a clean one
                 // heals whatever the register held before.
                 self.faults.poison(fp)[p.index()] = tainted;
@@ -896,58 +901,85 @@ impl<S: InstSource> SmtCore<S> {
     // -----------------------------------------------------------------
 
     fn srcs_ready(&self, slot: &Slot) -> bool {
-        for (i, phys) in slot.srcs_phys.iter().enumerate() {
-            if let Some(p) = phys {
-                let arch = slot.inst.srcs[i].expect("phys src without arch src");
-                let ready = if arch.is_fp() {
-                    self.fp_regs.is_ready(*p)
-                } else {
-                    self.int_regs.is_ready(*p)
-                };
-                if !ready {
-                    return false;
-                }
-            }
-        }
-        true
+        unready_src(&self.int_regs, &self.fp_regs, slot).is_none()
     }
 
-    fn record_reads(&mut self, inst: &sim_model::Inst, srcs_phys: &[Option<PhysReg>; 2], now: u64) {
-        if inst.wrong_path {
+    /// Register `reg` was just written: re-file each IQ entry waiting on
+    /// it. Records of entries that have since issued or been squashed
+    /// (their slab slot no longer holds the ftag, or holds it out of the
+    /// IQ) are dropped.
+    fn wake_waiters(&mut self, fp: bool, reg: PhysReg) {
+        let mut i = self.wake.detach(fp, reg);
+        while let Some((e, next)) = self.wake.release(i) {
+            i = next;
+            let slot = &self.threads[e.thread.index()].slab[e.slot as usize];
+            if slot.ftag == e.ftag && slot.in_iq {
+                self.wake
+                    .file(e, unready_src(&self.int_regs, &self.fp_regs, slot));
+            }
+        }
+    }
+
+    /// Every IQ entry whose sources are all written is on the ready list,
+    /// in age order: the wakeup lists select exactly what a scan of the
+    /// whole IQ would.
+    #[cfg(debug_assertions)]
+    fn check_ready_list(&self) {
+        let ready = |e: &&crate::resources::IqEntry| {
+            self.srcs_ready(&self.threads[e.thread.index()].slab[e.slot as usize])
+        };
+        assert!(
+            self.wake.ready.windows(2).all(|w| w[0].age < w[1].age),
+            "ready list out of age order"
+        );
+        assert!(
+            self.wake
+                .ready
+                .iter()
+                .filter(ready)
+                .eq(self.iq.entries().iter().filter(ready)),
+            "ready list disagrees with a scan of the IQ at cycle {}",
+            self.cycle
+        );
+    }
+
+    fn record_reads(&mut self, wrong_path: bool, srcs: [Option<(bool, PhysReg)>; 2], now: u64) {
+        if wrong_path {
             return; // wrong-path reads do not extend ACE lifetimes
         }
-        for (i, phys) in srcs_phys.iter().enumerate() {
-            if let Some(p) = phys {
-                let arch = inst.srcs[i].expect("phys src without arch src");
-                if arch.is_fp() {
-                    self.fp_regs.on_read(*p, now);
-                } else {
-                    self.int_regs.on_read(*p, now);
-                }
+        for (fp, p) in srcs.into_iter().flatten() {
+            if fp {
+                self.fp_regs.on_read(p, now);
+            } else {
+                self.int_regs.on_read(p, now);
             }
         }
     }
 
     fn issue(&mut self, now: u64) {
+        #[cfg(debug_assertions)]
+        self.check_ready_list();
         let mut issued = 0u32;
         let mut flushes = std::mem::take(&mut self.scratch.flushes);
-        let mut candidates = std::mem::take(&mut self.scratch.iq_order);
         flushes.clear();
-        candidates.clear();
-        // Select walks a snapshot: issuing removes entries from the IQ, and
-        // the slice must stay stable across the loop.
-        candidates.extend_from_slice(self.iq.entries());
-        for &e in &candidates {
+        // Select walks the ready list oldest-first and compacts it in
+        // place: issued entries leave it, and so does an entry whose
+        // sources are no longer all written, which goes back to waiting.
+        // Nothing in the walk files a ready entry, so the list can be
+        // taken out of the core for its duration.
+        let mut ready = std::mem::take(&mut self.wake.ready);
+        ready.retain(|&e| {
             if issued >= self.cfg.issue_width {
-                break;
+                return true;
             }
             let t = e.thread.index();
             // IQ entries are removed on squash, so the slab reference is
             // always live while the entry exists.
             let slot = &self.threads[t].slab[e.slot as usize];
             debug_assert_eq!(slot.ftag, e.ftag, "IQ entry without ROB slot");
-            if !self.srcs_ready(slot) {
-                continue;
+            if let Some((fp, reg)) = unready_src(&self.int_regs, &self.fp_regs, slot) {
+                self.wake.demote(fp, reg, e);
+                return false;
             }
             let op = slot.inst.op;
             // Loads: memory-dependence check against older stores.
@@ -955,52 +987,41 @@ impl<S: InstSource> SmtCore<S> {
             if op == OpClass::Load {
                 let addr = slot.inst.mem.expect("load without address").addr;
                 match self.threads[t].load_store_dep(e.ftag, addr) {
-                    MemDep::Blocked => continue,
+                    MemDep::Blocked => return true,
                     MemDep::Forward => forward = true,
                     MemDep::None => {}
                 }
             }
             if !self.fus.try_issue(op, now) {
-                continue;
+                return true;
             }
             // Commit to issuing this op.
-            assert!(self.iq.remove(e.thread, e.ftag));
+            self.iq.remove_entry(e);
             issued += 1;
             self.trace_issued(t);
             let slot = &mut self.threads[t].slab[e.slot as usize];
             slot.state = SlotState::Issued;
             slot.issued_at = now;
             slot.in_iq = false;
+            let srcs = slot.srcs();
             // Fault injection: consuming a corrupt source value corrupts
             // this instruction's result.
-            for (i, phys) in slot.srcs_phys.iter().enumerate() {
-                if let Some(p) = phys {
-                    let arch = slot.inst.srcs[i].expect("phys src without arch src");
-                    if self.faults.poison(arch.is_fp())[p.index()] {
-                        slot.tainted = true;
-                    }
+            for (fp, p) in srcs.into_iter().flatten() {
+                if self.faults.poison(fp)[p.index()] {
+                    slot.tainted = true;
                 }
             }
-            // `Inst` and the renamed-source array are `Copy`: snapshot the
-            // fields the rest of the loop needs instead of cloning the slot.
+            // `Inst` is `Copy`: snapshot it for the rest of the walk
+            // instead of cloning the slot.
             let inst = slot.inst;
-            let srcs_phys = slot.srcs_phys;
             if let Some(buf) = &mut self.lane_events {
-                let srcs = [0, 1].map(|i| {
-                    srcs_phys[i].map(|p| {
-                        (
-                            inst.srcs[i].expect("phys src without arch src").is_fp(),
-                            p.0,
-                        )
-                    })
-                });
                 buf.push(LaneEvent::Issue {
                     thread: t as u8,
                     slab: e.slot,
-                    srcs,
+                    srcs: srcs.map(|s| s.map(|(fp, p)| (fp, p.0))),
                 });
             }
-            self.record_reads(&inst, &srcs_phys, now);
+            self.record_reads(inst.wrong_path, srcs, now);
             let th = &mut self.threads[t];
             th.iq_used -= 1;
             if op != OpClass::Nop {
@@ -1076,7 +1097,9 @@ impl<S: InstSource> SmtCore<S> {
             };
             self.events
                 .push(Reverse((completion, t as u8, e.ftag, e.slot)));
-        }
+            false
+        });
+        self.wake.ready = ready;
 
         // FLUSH: squash everything younger than each L2-missing load and
         // queue the squashed correct-path work for refetch.
@@ -1094,7 +1117,6 @@ impl<S: InstSource> SmtCore<S> {
             self.squash_after(t, boundary, now, true);
         }
         self.scratch.flushes = flushes;
-        self.scratch.iq_order = candidates;
     }
 
     // -----------------------------------------------------------------
@@ -1228,6 +1250,7 @@ impl<S: InstSource> SmtCore<S> {
                 replay_rev.push(slot.inst);
             }
         }
+        self.wake.squash(id, boundary);
         // Front-end pipe: drop wrong-path work, optionally replay the rest.
         let mut frontend = std::mem::take(&mut self.scratch.frontend);
         frontend.clear();
@@ -1382,9 +1405,11 @@ impl<S: InstSource> SmtCore<S> {
                     self.threads[t].lsq_used += 1;
                 }
                 let ftag = slot.ftag;
+                let unready = unready_src(&self.int_regs, &self.fp_regs, &slot);
                 let idx = self.threads[t].push_slot(slot);
                 if needs_iq {
-                    self.iq.insert(id, ftag, idx);
+                    let e = self.iq.insert(id, ftag, idx);
+                    self.wake.file(e, unready);
                 }
                 dispatched += 1;
             }
@@ -1687,6 +1712,16 @@ impl<S: InstSource> SmtCore<S> {
         self.faults.detected
     }
 
+    /// Ready IQ entries that select moved back to waiting because a
+    /// source register went unwritten again after they were filed (only a
+    /// corrupted source tag can cause that). Debug builds only: tests read
+    /// it to show the demotion path ran.
+    #[cfg(debug_assertions)]
+    #[doc(hidden)]
+    pub fn ready_demotions(&self) -> u64 {
+        self.wake.demotions
+    }
+
     /// Instructions that retired with corrupt results so far.
     pub fn corrupt_retired(&self) -> u64 {
         self.faults.corrupt_retired
@@ -1948,10 +1983,10 @@ impl<S: InstSource> SmtCore<S> {
                 } else if b < src_end {
                     let src = ((b - OPCODE) / SRC_TAG) as usize;
                     let tag_bit = (b - OPCODE) % SRC_TAG;
-                    let Some(p) = slot.srcs_phys[src] else {
+                    let Some((fp, p)) = slot.srcs()[src] else {
                         return Strike::Benign; // the op has no such source
                     };
-                    let pool = if slot.inst.srcs[src].expect("arch src").is_fp() {
+                    let pool = if fp {
                         self.cfg.fp_phys_regs
                     } else {
                         self.cfg.int_phys_regs
@@ -2106,6 +2141,21 @@ impl<S: InstSource> SmtCore<S> {
                     None => {}
                 }
                 slot.tainted = true;
+                if let Some(Rewrite::SrcTag { .. }) = rewrite {
+                    // The entry now waits on, or is ready through, another
+                    // register: re-file it. Its record on the old register
+                    // is dropped or re-filed harmlessly when that register
+                    // is written.
+                    let slot = &self.threads[thread as usize].slab[slab as usize];
+                    let e = *self
+                        .iq
+                        .entries()
+                        .iter()
+                        .find(|e| e.thread.0 == thread && e.ftag == slot.ftag)
+                        .expect("source-tag strike on an op outside the IQ");
+                    self.wake
+                        .file(e, unready_src(&self.int_regs, &self.fp_regs, slot));
+                }
             }
             Strike::PoisonReg { fp, reg } => self.faults.poison(fp)[reg as usize] = true,
             Strike::Dl1Word { line, word } => self.mem.poison_dl1_word(line, word as usize),
@@ -2247,6 +2297,20 @@ impl<S: InstSource> SmtCore<S> {
         }
         s
     }
+}
+
+/// The first source of `slot` whose register is not written yet — the one
+/// its IQ entry waits on — or `None` when every source is ready.
+#[inline]
+fn unready_src(
+    int_regs: &RegTracker,
+    fp_regs: &RegTracker,
+    slot: &Slot,
+) -> Option<(bool, PhysReg)> {
+    slot.srcs()
+        .into_iter()
+        .flatten()
+        .find(|&(fp, p)| !if fp { fp_regs } else { int_regs }.is_ready(p))
 }
 
 impl<S> std::fmt::Debug for SmtCore<S> {

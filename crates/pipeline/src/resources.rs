@@ -224,22 +224,24 @@ impl IssueQueue {
         self.entries.is_empty()
     }
 
-    /// Insert a dispatched instruction.
+    /// Insert a dispatched instruction and return its entry.
     ///
     /// # Panics
     /// Panics if the IQ is full (callers must check [`IssueQueue::has_space`]).
-    pub fn insert(&mut self, thread: ThreadId, ftag: u64, slot: u32) {
+    pub fn insert(&mut self, thread: ThreadId, ftag: u64, slot: u32) -> IqEntry {
         assert!(self.has_space(), "issue queue overflow");
         self.age_counter += 1;
-        self.entries.push(IqEntry {
+        let e = IqEntry {
             thread,
             ftag,
             slot,
             age: self.age_counter,
-        });
+        };
+        self.entries.push(e);
+        e
     }
 
-    /// Remove a specific entry (on issue or squash). Returns whether it was
+    /// Remove a specific entry (on squash). Returns whether it was
     /// present. Shifts rather than swaps to preserve age order.
     pub fn remove(&mut self, thread: ThreadId, ftag: u64) -> bool {
         if let Some(pos) = self
@@ -254,6 +256,20 @@ impl IssueQueue {
         }
     }
 
+    /// Remove `e` (on issue), found by binary search on its age stamp.
+    /// Shifts rather than swaps to preserve age order.
+    ///
+    /// # Panics
+    /// Panics if `e` is not in the queue.
+    pub fn remove_entry(&mut self, e: IqEntry) {
+        let pos = self
+            .entries
+            .binary_search_by_key(&e.age, |x| x.age)
+            .expect("issued entry not in the IQ");
+        debug_assert_eq!(self.entries[pos], e);
+        self.entries.remove(pos);
+    }
+
     /// The entries oldest-first (the select order), allocation-free.
     #[inline]
     pub fn entries(&self) -> &[IqEntry] {
@@ -265,6 +281,143 @@ impl IssueQueue {
     /// [`IssueQueue::entries`] on hot paths; this allocates.
     pub fn by_age(&self) -> Vec<IqEntry> {
         self.entries.clone()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Wakeup-driven select
+// ---------------------------------------------------------------------------
+
+/// End of a waiter list (and of the free list).
+const NIL: u32 = u32::MAX;
+
+/// One IQ entry waiting on a register, linked to the next waiter.
+#[derive(Debug, Clone, Copy)]
+struct Waiter {
+    entry: IqEntry,
+    next: u32,
+}
+
+/// Which issue-queue entries select has to look at.
+///
+/// `ready` holds, oldest-first, every IQ entry whose sources are all
+/// written. It may also hold a few entries whose source register went
+/// unwritten again after they were filed (only a corrupted source tag can
+/// do that); select re-checks each entry and moves those back to waiting.
+/// Every other entry waits on one unwritten source register, in an
+/// intrusive list threaded through a shared node pool from that
+/// register's head slot, so filing and waking never allocate once the
+/// pool has reached its high-water size. Waiter records are not removed
+/// when their entry issues or is squashed: the writeback that wakes them
+/// checks each one against its slab slot and drops the stale ones.
+///
+/// This is derived state: it is a function of the IQ, the slab and the
+/// scoreboard, so it stays out of `SmtCore::state_digest`.
+#[derive(Debug, Clone)]
+pub(crate) struct Wakeup {
+    /// Ready entries, strictly ascending by age.
+    pub(crate) ready: Vec<IqEntry>,
+    /// Head node of each register's waiter list: int registers first,
+    /// then fp registers from `fp_base`.
+    heads: Vec<u32>,
+    fp_base: usize,
+    nodes: Vec<Waiter>,
+    /// Head of the free-node list, linked through `Waiter::next`.
+    free: u32,
+    /// Ready entries select found unready and moved back to waiting.
+    #[cfg(debug_assertions)]
+    pub(crate) demotions: u64,
+}
+
+impl Wakeup {
+    /// Empty lists for an IQ of `iq_entries` over the two register pools.
+    pub(crate) fn new(iq_entries: u32, int_regs: u32, fp_regs: u32) -> Wakeup {
+        Wakeup {
+            ready: Vec::with_capacity(iq_entries as usize),
+            heads: vec![NIL; (int_regs + fp_regs) as usize],
+            fp_base: int_regs as usize,
+            // Live records never outnumber the IQ; stale ones (their entry
+            // was squashed, or re-filed after a source-tag strike) linger
+            // until their register is next written. Saturated 4-context
+            // mixes peak near 2.5x the IQ, well inside one spare record per
+            // physical register.
+            nodes: Vec::with_capacity((iq_entries + int_regs + fp_regs) as usize),
+            free: NIL,
+            #[cfg(debug_assertions)]
+            demotions: 0,
+        }
+    }
+
+    fn head(&mut self, fp: bool, reg: PhysReg) -> &mut u32 {
+        let base = if fp { self.fp_base } else { 0 };
+        &mut self.heads[base + reg.index()]
+    }
+
+    /// File `e`: onto the ready list when `unready` is `None`, else onto
+    /// the waiter list of the unwritten source register it names.
+    #[inline]
+    pub(crate) fn file(&mut self, e: IqEntry, unready: Option<(bool, PhysReg)>) {
+        match unready {
+            None => {
+                // Almost always the youngest entry (dispatch); a woken
+                // entry lands in age order. An entry filed twice (a
+                // source-tag strike can leave a stale waiter record) is
+                // listed once.
+                let i = self.ready.partition_point(|r| r.age < e.age);
+                if self.ready.get(i).is_none_or(|r| r.age != e.age) {
+                    self.ready.insert(i, e);
+                }
+            }
+            Some((fp, reg)) => self.wait(fp, reg, e),
+        }
+    }
+
+    /// Move `e`, a ready entry that select found unready, back to waiting
+    /// on register `reg` of the given pool.
+    pub(crate) fn demote(&mut self, fp: bool, reg: PhysReg, e: IqEntry) {
+        #[cfg(debug_assertions)]
+        {
+            self.demotions += 1;
+        }
+        self.wait(fp, reg, e);
+    }
+
+    /// Make `e` wait on register `reg` of the given pool.
+    fn wait(&mut self, fp: bool, reg: PhysReg, e: IqEntry) {
+        let next = *self.head(fp, reg);
+        let node = Waiter { entry: e, next };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
+        *self.head(fp, reg) = i;
+    }
+
+    /// Detach the waiter list of register `reg` (it was just written) and
+    /// return its first node for [`Wakeup::release`].
+    pub(crate) fn detach(&mut self, fp: bool, reg: PhysReg) -> u32 {
+        std::mem::replace(self.head(fp, reg), NIL)
+    }
+
+    /// Return node `i` of a detached list to the pool and yield its entry
+    /// with the next node, or `None` at the end of the list.
+    pub(crate) fn release(&mut self, i: u32) -> Option<(IqEntry, u32)> {
+        let node = self.nodes.get_mut(i as usize)?;
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = i;
+        Some((node.entry, next))
+    }
+
+    /// Drop thread `thread`'s ready entries younger than `boundary`
+    /// (they were squashed).
+    pub(crate) fn squash(&mut self, thread: ThreadId, boundary: u64) {
+        self.ready
+            .retain(|e| e.thread != thread || e.ftag <= boundary);
     }
 }
 
@@ -451,6 +604,47 @@ mod tests {
         assert!(q.remove(ThreadId(0), 5));
         assert!(!q.remove(ThreadId(0), 5));
         assert!(q.has_space());
+    }
+
+    #[test]
+    fn iq_remove_entry_keeps_age_order() {
+        let mut q = IssueQueue::new(3);
+        let a = q.insert(ThreadId(0), 5, 0);
+        let b = q.insert(ThreadId(1), 3, 1);
+        let c = q.insert(ThreadId(0), 6, 2);
+        q.remove_entry(b);
+        assert_eq!(q.entries(), &[a, c]);
+    }
+
+    #[test]
+    fn wakeup_files_wakes_and_lists_each_entry_once() {
+        let mut q = IssueQueue::new(4);
+        let mut w = Wakeup::new(4, 8, 8);
+        let old = q.insert(ThreadId(0), 1, 0);
+        let young = q.insert(ThreadId(1), 1, 1);
+        w.file(young, None);
+        w.file(old, Some((true, PhysReg(3))));
+        w.file(old, Some((false, PhysReg(3))));
+        assert_eq!(w.ready, [young]);
+        // The int register 3 wakes only its own waiter, which lands
+        // ahead of the younger ready entry.
+        let mut i = w.detach(false, PhysReg(3));
+        let mut woken = Vec::new();
+        while let Some((e, next)) = w.release(i) {
+            woken.push(e);
+            i = next;
+        }
+        assert_eq!(woken, [old]);
+        w.file(old, None);
+        assert_eq!(w.ready, [old, young]);
+        // A stale record filing the same entry again lists it once.
+        let i = w.detach(true, PhysReg(3));
+        let (e, next) = w.release(i).expect("one waiter");
+        assert!(w.release(next).is_none());
+        w.file(e, None);
+        assert_eq!(w.ready, [old, young]);
+        w.squash(ThreadId(1), 0);
+        assert_eq!(w.ready, [old]);
     }
 
     #[test]

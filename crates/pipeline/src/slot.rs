@@ -100,6 +100,19 @@ impl Slot {
         }
     }
 
+    /// The renamed source operands in source order, each as
+    /// `(is_fp, phys)`: which register pool the physical tag indexes, and
+    /// the tag itself.
+    #[inline]
+    pub fn srcs(&self) -> [Option<(bool, PhysReg)>; 2] {
+        [0, 1].map(|i| {
+            self.srcs_phys[i].map(|p| {
+                let arch = self.inst.srcs[i].expect("phys src without arch src");
+                (arch.is_fp(), p)
+            })
+        })
+    }
+
     /// Cycles this slot has occupied the ROB as of `now`.
     pub fn rob_residency(&self, now: u64) -> u64 {
         now.saturating_sub(self.dispatched_at)

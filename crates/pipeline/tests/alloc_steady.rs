@@ -130,6 +130,21 @@ fn steady_state_step_is_allocation_free() {
         "FLUSH step() allocated {flush} times in steady state"
     );
 
+    // 4T-MEM-A keeps the shared IQ nearly full under ICOUNT, almost every
+    // entry waiting on an unwritten register: an undersized waiter pool
+    // or ready list would allocate here.
+    let saturated = steady_state_allocs(
+        FetchPolicyKind::Icount,
+        &["mcf", "equake", "vpr", "swim"],
+        50_000,
+        20_000,
+        false,
+    );
+    assert_eq!(
+        saturated, 0,
+        "saturated-IQ step() allocated {saturated} times in steady state"
+    );
+
     // With a live ring sink the hot loop must still not allocate: the ring
     // and its counters are fully preallocated (events land by value).
     let traced = steady_state_allocs(
