@@ -42,14 +42,19 @@
 //!
 //! Replaying every trial from cycle 0 costs `O(trials × (warmup +
 //! window/2))` simulated cycles before the first bit is even flipped. The
-//! campaign runner instead captures K snapshots of the golden machine —
+//! campaign runner instead plans K snapshots of the golden machine —
 //! one at the window start (skipping warmup replay entirely) and the rest
-//! evenly spaced across the window — by deep-cloning [`SmtCore`], whose
-//! state is self-contained (see [`run_golden_checkpointed`]). A trial
-//! restores the nearest snapshot at or before its injection cycle and
-//! steps only the delta (`≤ window/K` cycles). Because a restored clone
-//! steps bit-identically to the original machine, the trial outcome is
-//! exactly what the replay-from-zero path produces; that path is kept
+//! evenly spaced across the window — taken by deep-cloning [`SmtCore`],
+//! whose state is self-contained (see [`run_golden_checkpointed`]). Only
+//! the window-start snapshot is captured while the campaign is prepared;
+//! each later one is captured the first time a trial needs it, so worker
+//! threads capture while others run trials. A snapshot holds no commit
+//! log, only per-thread counts of the golden retirements before it. A
+//! trial restores the nearest snapshot at or before its injection cycle,
+//! steps only the delta (`≤ window/K` cycles), and diffs its retirements
+//! against the golden streams from those counts on. Because a restored
+//! clone steps bit-identically to the original machine, the trial outcome
+//! is exactly what the replay-from-zero path produces; that path is kept
 //! as [`TrialPath::ReplayFromZero`], the oracle the equivalence tests
 //! (and perfbench baseline timing) run against.
 
@@ -61,6 +66,7 @@ use sim_pipeline::{LaneBatch, SimBudget, SmtCore, Strike};
 use sim_trace::metrics::{self, MetricsRegistry};
 use sim_workload::InstSource;
 use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Mutex, OnceLock};
 
 /// An error preparing or executing a fault-injection campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -543,52 +549,123 @@ fn run_window<S: InstSource>(
 /// Snapshots are deep clones of the golden [`SmtCore`]: every piece of
 /// behavior-relevant state (slab ROBs + ftags, IQ/LSQ, completion-event
 /// heap, caches and TLBs with their ACE interval timestamps, predictors,
-/// fetch-policy state, residency trackers, generator cursors, the golden
-/// commit-log prefix) is owned by the core, so a restored clone steps
-/// bit-identically to the original machine.
-#[derive(Debug, Clone)]
+/// fetch-policy state, residency trackers, generator cursors) is owned by
+/// the core, so a restored clone steps bit-identically to the original
+/// machine. A snapshot's commit log is empty: instead of the golden
+/// retirements that precede it, it records their per-thread count (its
+/// log base), and a trial restored from it diffs its retirements against
+/// the golden streams from that offset on.
+///
+/// Only the window-start snapshot is captured up front. The rest are
+/// captured on demand, in cycle order, by the first caller that needs
+/// one (see [`CheckpointedGolden::snapshots`]); callers on other threads
+/// keep reading the snapshots already captured.
+#[derive(Debug)]
 pub struct CheckpointedGolden<S> {
     /// The golden window and retired streams trials are diffed against.
     pub golden: GoldenRun,
-    /// `(cycle, machine)` snapshots sorted ascending by cycle; the first
-    /// sits at the window start.
-    checkpoints: Vec<(u64, SmtCore<S>)>,
+    /// Planned snapshot cycles, ascending; the first is the window start.
+    cycles: Vec<u64>,
+    /// One slot per planned cycle, filled in cycle order.
+    slots: Vec<OnceLock<Snapshot<S>>>,
+    /// The golden machine that fills the next empty slot; `None` once
+    /// every slot is filled.
+    capture: Mutex<Option<Capture<S>>>,
 }
 
-impl<S> CheckpointedGolden<S> {
-    /// Cycles at which snapshots were captured (sorted ascending; the
-    /// first is the window start).
+/// One golden snapshot: the machine with an empty commit log, and how
+/// many golden retirements of each thread precede it in the window.
+#[derive(Debug, Clone)]
+struct Snapshot<S> {
+    core: SmtCore<S>,
+    log_base: Vec<usize>,
+}
+
+/// The capture core: the golden machine, stepped forward to each planned
+/// cycle in turn.
+#[derive(Debug)]
+struct Capture<S> {
+    machine: Snapshot<S>,
+    /// The first slot not yet filled.
+    next: usize,
+}
+
+impl<S: InstSource + Clone> Capture<S> {
+    /// Step to `at`, hand the commit log off into the log base, and clone.
+    fn snapshot_at(&mut self, at: u64) -> Snapshot<S> {
+        let Snapshot { core, log_base } = &mut self.machine;
+        // The clamp makes a clock jump land on the snapshot cycle exactly.
+        while core.cycle() < at {
+            core.step_fast_bounded(at);
+        }
+        for r in core.take_commit_log().expect("log was enabled") {
+            log_base[r.thread as usize] += 1;
+        }
+        core.enable_commit_log();
+        self.machine.clone()
+    }
+}
+
+impl<S: InstSource + Clone> CheckpointedGolden<S> {
+    /// Cycles at which snapshots are (or will be) captured, sorted
+    /// ascending; the first is the window start.
     pub fn checkpoint_cycles(&self) -> Vec<u64> {
-        self.checkpoints.iter().map(|(c, _)| *c).collect()
+        self.cycles.clone()
     }
 
-    /// The captured `(cycle, machine)` snapshots, ascending by cycle —
-    /// read-only access for fingerprinting (the campaign store digests
-    /// each snapshot to fail closed on resume divergence).
+    /// The `(cycle, machine)` snapshots, ascending by cycle — read-only
+    /// access for fingerprinting (the campaign store digests each
+    /// snapshot to fail closed on resume divergence). Iterating captures
+    /// every snapshot not yet captured.
     pub fn snapshots(&self) -> impl Iterator<Item = (u64, &SmtCore<S>)> {
-        self.checkpoints.iter().map(|(c, m)| (*c, m))
+        (0..self.cycles.len()).map(|i| (self.cycles[i], &self.slot(i).core))
+    }
+
+    /// Snapshots captured so far. Tests read it to show that preparation
+    /// captures only the window-start snapshot.
+    #[doc(hidden)]
+    pub fn filled_checkpoints(&self) -> usize {
+        self.slots.iter().filter(|s| s.get().is_some()).count()
     }
 
     /// The snapshot a trial injecting at `cycle` restores: the nearest
     /// checkpoint at or before `cycle`.
-    fn nearest_at_or_before(&self, cycle: u64) -> &SmtCore<S> {
-        let i = self.checkpoints.partition_point(|(c, _)| *c <= cycle);
+    fn nearest_at_or_before(&self, cycle: u64) -> &Snapshot<S> {
+        let i = self.cycles.partition_point(|&c| c <= cycle);
         debug_assert!(i > 0, "cycle precedes the window-start checkpoint");
-        &self.checkpoints[i - 1].1
+        self.slot(i - 1)
+    }
+
+    /// Snapshot `i`, capturing it — and every empty slot before it —
+    /// first if needed. A filled slot is read without the lock.
+    fn slot(&self, i: usize) -> &Snapshot<S> {
+        if let Some(s) = self.slots[i].get() {
+            return s;
+        }
+        let mut capture = self.capture.lock().expect("capture lock poisoned");
+        while let Some(c) = capture.as_mut().filter(|c| c.next <= i) {
+            let n = c.next;
+            self.slots[n].get_or_init(|| c.snapshot_at(self.cycles[n]));
+            c.next += 1;
+            if c.next == self.slots.len() {
+                *capture = None; // every slot is filled
+            }
+        }
+        self.slots[i].get().expect("slots fill in cycle order")
     }
 }
 
-/// Run the golden simulation and capture `k` snapshots across its
+/// Run the golden simulation and plan `k` snapshots across its
 /// measurement window: one at the window start (so no trial ever replays
 /// warmup) and the rest evenly spaced.
 ///
-/// Warm-up runs once; the window runs twice. Pass 1 steps a clone of the
-/// warmed core to discover the window `[start, end)` and the retired
-/// streams. Pass 2 steps the warmed core itself — the window-start
-/// snapshot, so bit-identical to pass 1 because a clone steps exactly
-/// like its original — and clones it at the planned cycles. The second
-/// window pass costs far less than what checkpoints save across hundreds
-/// of trials.
+/// Warm-up runs once. A clone of the warmed core steps the window to
+/// discover `[start, end)` and the retired streams. The warmed core
+/// itself — the window-start snapshot, so bit-identical to that pass
+/// because a clone steps exactly like its original — becomes the capture
+/// core. Only the window-start snapshot is captured here; the capture
+/// core steps to each later planned cycle when a trial first needs that
+/// snapshot, and is dropped once the last one is captured.
 pub fn run_golden_checkpointed<S, F>(
     factory: &F,
     budget: SimBudget,
@@ -598,26 +675,24 @@ where
     S: InstSource + Clone,
     F: Fn() -> SmtCore<S>,
 {
-    let mut core = warmed_core(factory, budget);
+    let core = warmed_core(factory, budget);
     let golden = run_window(core.clone(), budget)?;
     let k = k.max(1) as u64;
     let span = golden.end - golden.start;
-    let mut checkpoints: Vec<(u64, SmtCore<S>)> = Vec::with_capacity(k as usize);
-    for i in 0..k {
-        let at = golden.start + span * i / k;
-        if checkpoints.last().is_some_and(|(c, _)| *c == at) {
-            continue; // window shorter than k cycles
-        }
-        // The clamp makes a clock jump land on the snapshot cycle exactly.
-        while core.cycle() < at {
-            core.step_fast_bounded(at);
-        }
-        checkpoints.push((core.cycle(), core.clone()));
-    }
-    Ok(CheckpointedGolden {
+    let mut cycles: Vec<u64> = (0..k).map(|i| golden.start + span * i / k).collect();
+    cycles.dedup(); // window shorter than k cycles
+    let log_base = vec![0; golden.per_thread.len()];
+    let checkpointed = CheckpointedGolden {
         golden,
-        checkpoints,
-    })
+        slots: cycles.iter().map(|_| OnceLock::new()).collect(),
+        cycles,
+        capture: Mutex::new(Some(Capture {
+            machine: Snapshot { core, log_base },
+            next: 0,
+        })),
+    };
+    checkpointed.slot(0);
+    Ok(checkpointed)
 }
 
 /// Replay the simulation from cycle 0 to `inject_cycle`, apply `fault`,
@@ -642,7 +717,8 @@ where
 {
     check_window(golden, inject_cycle)?;
     let core = warmed_core(factory, budget);
-    let t = finish_trial(core, golden, fault, inject_cycle, hang_cycles);
+    let log_base = vec![0; golden.per_thread.len()];
+    let t = finish_trial(core, golden, &log_base, fault, inject_cycle, hang_cycles);
     Ok((t.landing, t.outcome))
 }
 
@@ -661,8 +737,15 @@ where
     S: InstSource + Clone,
 {
     check_window(&checkpointed.golden, inject_cycle)?;
-    let core = checkpointed.nearest_at_or_before(inject_cycle).clone();
-    let t = finish_trial(core, &checkpointed.golden, fault, inject_cycle, hang_cycles);
+    let snap = checkpointed.nearest_at_or_before(inject_cycle);
+    let t = finish_trial(
+        snap.core.clone(),
+        &checkpointed.golden,
+        &snap.log_base,
+        fault,
+        inject_cycle,
+        hang_cycles,
+    );
     Ok((t.landing, t.outcome))
 }
 
@@ -695,10 +778,13 @@ struct TrialRun {
 
 /// Shared trial tail: step `core` (already past warmup, at or before the
 /// injection cycle, commit log running) to `inject_cycle`, flip the bit,
-/// run out the trial and classify it.
+/// run out the trial and classify it. `log_base[t]` counts thread `t`'s
+/// golden retirements before `core`'s commit log began: the trial's
+/// retirements are diffed against the golden streams from there on.
 fn finish_trial<S: InstSource>(
     mut core: SmtCore<S>,
     golden: &GoldenRun,
+    log_base: &[usize],
     fault: Fault,
     inject_cycle: u64,
     hang_cycles: u64,
@@ -746,7 +832,7 @@ fn finish_trial<S: InstSource>(
                 if core.cycle() >= next_check {
                     check_step = (check_step * 2).min(CONVERGENCE_CHECK_MAX);
                     next_check = core.cycle() + check_step;
-                    if converged_back_to_golden(&core, golden) {
+                    if converged_back_to_golden(&core, golden, log_base) {
                         return TrialRun {
                             landing,
                             outcome: Outcome::Masked,
@@ -763,7 +849,7 @@ fn finish_trial<S: InstSource>(
                 let bound = cycle_cap.min(last_commit + hang_cycles + 1).min(next_check);
                 core.step_fast_bounded(bound);
             }
-            classify_completed_trial(&mut core, golden, hung)
+            classify_completed_trial(&mut core, golden, log_base, hung)
         }
     };
     TrialRun {
@@ -781,7 +867,8 @@ const CONVERGENCE_CHECK_MAX: u64 = 8_192;
 /// Is the trial machine provably back on the golden path? True when no
 /// corrupt state survives anywhere (no poisoned registers or memory words,
 /// no tainted in-flight instruction, nothing retired corrupt) and every
-/// thread's retired stream so far is a prefix of the golden stream.
+/// thread's retired stream since its log base is a prefix of the golden
+/// stream from that base.
 ///
 /// Values in the model flow only through the explicit taint/poison state,
 /// and [`RetiredInst`] carries no timing fields, so a clean machine whose
@@ -791,12 +878,16 @@ const CONVERGENCE_CHECK_MAX: u64 = 8_192;
 /// reaches that verdict early — the classification itself is unchanged,
 /// which is why both the checkpointed and the replay-from-zero oracle
 /// path share this tail.
-fn converged_back_to_golden<S: InstSource>(core: &SmtCore<S>, golden: &GoldenRun) -> bool {
+fn converged_back_to_golden<S: InstSource>(
+    core: &SmtCore<S>,
+    golden: &GoldenRun,
+    log_base: &[usize],
+) -> bool {
     if core.corrupt_retired() > 0 || core.residual_corruption() {
         return false;
     }
     let log = core.commit_log().expect("log was enabled");
-    let mut pos = vec![0usize; golden.per_thread.len()];
+    let mut pos = log_base.to_vec();
     for r in log {
         let t = r.thread as usize;
         let gold = &golden.per_thread[t];
@@ -811,6 +902,7 @@ fn converged_back_to_golden<S: InstSource>(core: &SmtCore<S>, golden: &GoldenRun
 fn classify_completed_trial<S: InstSource>(
     core: &mut SmtCore<S>,
     golden: &GoldenRun,
+    log_base: &[usize],
     hung: bool,
 ) -> Outcome {
     if hung {
@@ -827,7 +919,8 @@ fn classify_completed_trial<S: InstSource>(
     for r in log {
         per_thread[r.thread as usize].push(r);
     }
-    for (trial, gold) in per_thread.iter().zip(&golden.per_thread) {
+    for ((trial, gold), &base) in per_thread.iter().zip(&golden.per_thread).zip(log_base) {
+        let gold = &gold[base..];
         let n = trial.len().min(gold.len());
         if trial[..n] != gold[..n] {
             return Outcome::Sdc;
@@ -894,7 +987,7 @@ where
 /// crashed run — can execute anywhere, in any order, and merge by index
 /// into the same bytes. The campaign store and the `sim-serve` job server
 /// are built on exactly this property.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PreparedCampaign<S> {
     cfg: CampaignConfig,
     machine: MachineConfig,
@@ -984,9 +1077,9 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
     /// recomputed without re-running the trial. `None` on the oracle path.
     pub fn restore_distance(&self, cycle: u64) -> Option<u64> {
         self.checkpointed.as_ref().map(|c| {
-            let i = c.checkpoints.partition_point(|(at, _)| *at <= cycle);
+            let i = c.cycles.partition_point(|&at| at <= cycle);
             debug_assert!(i > 0, "sampled cycle precedes the first snapshot");
-            cycle - c.checkpoints[i - 1].0
+            cycle - c.cycles[i - 1]
         })
     }
 
@@ -1010,17 +1103,19 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
         F: Fn() -> SmtCore<S>,
     {
         let hang_cycles = self.cfg.hang_cycles;
-        match &self.checkpointed {
+        let (core, golden, log_base) = match &self.checkpointed {
             Some(c) => {
-                let core = c.nearest_at_or_before(restore).clone();
-                finish_trial(core, &c.golden, s.fault, s.cycle, hang_cycles)
+                let snap = c.nearest_at_or_before(restore);
+                (snap.core.clone(), &c.golden, snap.log_base.clone())
             }
             None => {
                 let factory = configured_factory(factory, self.cfg.path);
+                let golden = self.golden();
                 let core = warmed_core(&factory, self.cfg.budget);
-                finish_trial(core, self.golden(), s.fault, s.cycle, hang_cycles)
+                (core, golden, vec![0; golden.per_thread.len()])
             }
-        }
+        };
+        finish_trial(core, golden, &log_base, s.fault, s.cycle, hang_cycles)
     }
 
     /// Trial `index`'s exec, given its sample and how it ran.
@@ -1216,7 +1311,7 @@ fn run_one_batch<S: InstSource + Clone>(
     let cycle_cap = golden.end * 2 + hang_cycles;
     let samples: Vec<SampledTrial> = indices.iter().map(|&i| prepared.sample(i)).collect();
 
-    let follower = ckpt.nearest_at_or_before(samples[0].cycle).clone();
+    let follower = ckpt.nearest_at_or_before(samples[0].cycle).core.clone();
     let mut batch = LaneBatch::new(follower, indices.len());
     let mut out: Vec<Option<TrialExec>> = vec![None; indices.len()];
     let mut riders: Vec<Rider> = Vec::new();
@@ -1441,7 +1536,7 @@ pub fn run_trials_batched_full<S, F>(
     workers: usize,
 ) -> (Vec<TrialExec>, sim_exec::PoolStats, Option<LaneStats>)
 where
-    S: InstSource + Clone + Sync,
+    S: InstSource + Clone + Send + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
     // Heartbeat bookkeeping (stderr only; results are unaffected).
@@ -1685,11 +1780,12 @@ pub fn summarize(
 /// target executed by `workers` scoped threads on [`CampaignConfig::path`].
 pub fn run_campaign<S, F>(factory: F, cfg: &CampaignConfig) -> Result<CampaignResult, InjectError>
 where
-    S: InstSource + Clone + Sync,
+    S: InstSource + Clone + Send + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    // Workers share the immutable prepared state (golden + checkpoint
-    // set); each trial clones only the one snapshot it restores.
+    // Workers share the prepared state (golden + checkpoint set); each
+    // trial clones only the one snapshot it restores, and the first trial
+    // to need a snapshot not yet captured captures it.
     let prepared = PreparedCampaign::prepare(&factory, cfg)?;
 
     // Each trial is a pure function of the prepared state and its global

@@ -6,10 +6,13 @@
 //! this test can hold the fast path to it. The golden capture itself
 //! is held to a two-pass reference (warm up, run the window; warm up
 //! again, step to each checkpoint), so stores fingerprinted before the
-//! single-warm-up capture still resume.
+//! single-warm-up capture still resume — whichever thread captures each
+//! snapshot on demand. Snapshots carry no commit log: trials restored
+//! from one diff against the golden streams from its log base.
 
 use sim_inject::*;
 use sim_model::{FetchPolicyKind, MachineConfig};
+use sim_pipeline::RetiredInst;
 use sim_pipeline::{Fault, FaultTarget, SimBudget, SmtCore};
 use sim_store::{encode_record, CoreSnapshot, GoldenFingerprint};
 use sim_workload::{profile, TraceGenerator};
@@ -108,6 +111,159 @@ fn every_checkpoint_restores_to_the_oracle_outcome() {
             .expect("in-window cycle runs");
         let fast = run_trial_checkpointed(&checkpointed, fault, cycle, 20_000)
             .expect("in-window cycle runs");
+        assert_eq!(slow, fast, "trial at cycle {cycle} diverged");
+    }
+
+    // Sampled trials on every target, each held to the oracle. They must
+    // include an SDC and an early-exit Masked trial restored from a
+    // snapshot past the window start — one whose log base is non-zero,
+    // so both verdict paths diff against an offset golden stream.
+    let mut cfg = CampaignConfig::new(5, 0xBADC0DE, budget());
+    cfg.checkpoints = k;
+    cfg.path = TrialPath::Scalar;
+    let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("campaign prepares");
+    let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
+    assert_eq!(ckpt.checkpoint_cycles(), cycles_of);
+    // A snapshot's log base sums to the golden retirements before it.
+    let log_base: Vec<u64> = {
+        let committed: Vec<u64> = ckpt.snapshots().map(|(_, c)| c.total_committed()).collect();
+        committed.iter().map(|c| c - committed[0]).collect()
+    };
+    let (mut sdc, mut early_masked) = (0, 0);
+    for i in 0..prepared.total_trials() {
+        let s = prepared.sample(i);
+        let exec = prepared.run_index(&factory, i);
+        let slow = run_trial(
+            &factory,
+            budget(),
+            &golden,
+            s.fault,
+            s.cycle,
+            cfg.hang_cycles,
+        )
+        .expect("sampled cycle is in the window");
+        assert_eq!(
+            (exec.record.landing, exec.record.outcome),
+            slow,
+            "trial {i} diverged"
+        );
+        let restored = s.cycle - exec.restore_distance.expect("restored from a snapshot");
+        let slot = cycles_of
+            .binary_search(&restored)
+            .expect("a checkpoint cycle");
+        if log_base[slot] > 0 {
+            sdc += usize::from(exec.record.outcome == Outcome::Sdc);
+            early_masked += usize::from(exec.early_exit && exec.record.outcome == Outcome::Masked);
+        }
+    }
+    assert!(sdc > 0, "an SDC restored past the window start");
+    assert!(
+        early_masked > 0,
+        "an early-exit Masked trial restored past the window start"
+    );
+}
+
+#[test]
+fn snapshots_are_log_free_and_prepare_captures_only_the_window_start() {
+    let k = 12;
+    let mut cfg = CampaignConfig::new(1, 0, budget());
+    cfg.checkpoints = k;
+    let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("campaign prepares");
+    let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
+    assert_eq!(
+        ckpt.filled_checkpoints(),
+        1,
+        "prepare captures checkpoint 0 only"
+    );
+    let direct = run_golden_checkpointed(&factory, budget(), k).expect("golden runs");
+    assert_eq!(direct.filled_checkpoints(), 1);
+
+    let empty: &[RetiredInst] = &[];
+    for (cycle, core) in ckpt.snapshots() {
+        assert_eq!(core.commit_log(), Some(empty), "snapshot at cycle {cycle}");
+    }
+    assert_eq!(
+        ckpt.filled_checkpoints(),
+        k,
+        "snapshots() captures the rest"
+    );
+}
+
+#[test]
+fn pool_captured_snapshots_match_the_two_pass_reference_at_2_and_4_workers() {
+    let k = 12;
+    let reference = two_pass_capture(&factory, budget(), k as u64);
+    // Four lanes a batch, so batches restore from many checkpoints.
+    let mut cfg = CampaignConfig::new(5, 0xBADC0DE, budget());
+    cfg.checkpoints = k;
+    cfg.path = TrialPath::Batched { lanes: 4 };
+    let eager = PreparedCampaign::prepare(&factory, &cfg).expect("campaign prepares");
+    let fingerprint = GoldenFingerprint::of(&eager);
+    assert_eq!(fingerprint.checkpoints, reference.checkpoints);
+    let total = eager.total_trials();
+    let (expected, _, _) = run_trials_batched_full(&eager, &factory, 0, total, 1);
+
+    for workers in [2usize, 4] {
+        let prepared = PreparedCampaign::prepare(&factory, &cfg).expect("campaign prepares");
+        let (execs, _, _) = run_trials_batched_full(&prepared, &factory, 0, total, workers);
+        assert_eq!(execs, expected, "{workers} workers");
+        let ckpt = prepared.checkpointed_golden().expect("checkpointed path");
+        assert!(
+            ckpt.filled_checkpoints() > 1,
+            "{workers} workers: pool threads captured later snapshots"
+        );
+        let snapshots: Vec<CoreSnapshot> = ckpt
+            .snapshots()
+            .map(|(cycle, core)| CoreSnapshot {
+                cycle,
+                digest: core.state_digest(),
+            })
+            .collect();
+        assert_eq!(snapshots, reference.checkpoints, "{workers} workers");
+        assert_eq!(snapshots, fingerprint.checkpoints, "{workers} workers");
+    }
+}
+
+#[test]
+fn concurrent_trials_capture_on_demand_and_match_the_oracle() {
+    let k = 6;
+    let checkpointed =
+        run_golden_checkpointed(&factory, budget(), k).expect("checkpointed golden runs");
+    let golden = run_golden(&factory, budget()).expect("golden runs");
+    let fault = Fault {
+        target: FaultTarget::Rob,
+        entry: 3,
+        bit: 17,
+    };
+    // One trial a checkpoint, a few cycles past it, spawned last
+    // checkpoint first; the barrier releases every trial at once, so they
+    // race for the capture core and for slots still being filled.
+    let cycles: Vec<u64> = checkpointed
+        .checkpoint_cycles()
+        .iter()
+        .rev()
+        .map(|c| c + 3)
+        .collect();
+    let start = std::sync::Barrier::new(cycles.len());
+    let fast: Vec<_> = std::thread::scope(|scope| {
+        let trials: Vec<_> = cycles
+            .iter()
+            .map(|&cycle| {
+                let (checkpointed, start) = (&checkpointed, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    run_trial_checkpointed(checkpointed, fault, cycle, 20_000)
+                })
+            })
+            .collect();
+        trials
+            .into_iter()
+            .map(|t| t.join().expect("trial thread"))
+            .collect()
+    });
+    assert_eq!(checkpointed.filled_checkpoints(), k);
+    for (&cycle, fast) in cycles.iter().zip(fast) {
+        let slow = run_trial(&factory, budget(), &golden, fault, cycle, 20_000);
         assert_eq!(slow, fast, "trial at cycle {cycle} diverged");
     }
 }

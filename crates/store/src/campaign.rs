@@ -407,7 +407,7 @@ pub fn run_campaign_stored<S, F, A>(
     ace: A,
 ) -> Result<StoredOutcome, CampaignStoreError>
 where
-    S: InstSource + Clone + Sync,
+    S: InstSource + Clone + Send + Sync,
     F: Fn() -> SmtCore<S> + Sync,
     A: FnOnce() -> Result<AvfReport, String>,
 {
@@ -477,7 +477,7 @@ pub fn run_chunk<S, F>(
     workers: usize,
 ) -> Vec<TrialRecord>
 where
-    S: InstSource + Clone + Sync,
+    S: InstSource + Clone + Send + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
     sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers)

@@ -89,7 +89,9 @@ impl Codec for GoldenFingerprint {
 }
 
 impl GoldenFingerprint {
-    /// Fingerprint a freshly prepared campaign.
+    /// Fingerprint a freshly prepared campaign. Digesting every
+    /// checkpoint captures each snapshot the campaign has not captured
+    /// yet (preparation captures only the window-start one).
     pub fn of<S: InstSource + Clone>(prepared: &PreparedCampaign<S>) -> GoldenFingerprint {
         let checkpoints = match prepared.checkpointed_golden() {
             Some(c) => c
