@@ -1,55 +1,18 @@
-//! One bench per paper table/figure: measures the cost of regenerating
-//! each experiment at a micro scale (the regeneration binaries produce
-//! the full-scale numbers).
+//! One bench per registry experiment: the cost of regenerating it from
+//! scratch at a micro scale, on a fresh run table per sample (the `all`
+//! binary produces the full-scale numbers).
 
-use smt_avf::experiments as ex;
-use smt_avf_bench::bench_scale;
+use smt_avf::experiments::Runs;
 use smt_avf_bench::timing::bench_case;
+use smt_avf_bench::{bench_scale, EXPERIMENTS};
 use std::hint::black_box;
 
-fn bench_tables() {
-    bench_case("tables", "table1_render", 20, || black_box(ex::table1()));
-    bench_case("tables", "table2_render", 20, || {
-        black_box(ex::table2_listing())
-    });
-}
-
-fn bench_figures() {
-    let scale = bench_scale();
-    bench_case("figures", "fig1_avf_profile", 10, || {
-        black_box(ex::figure1(scale).expect("experiment failed"))
-    });
-    bench_case("figures", "fig2_reliability_efficiency", 10, || {
-        black_box(ex::figure2(scale).expect("experiment failed"))
-    });
-    bench_case("figures", "fig3_smt_vs_st_avf", 10, || {
-        black_box(ex::figure3(scale).expect("experiment failed"))
-    });
-    bench_case("figures", "fig4_smt_vs_st_efficiency", 10, || {
-        black_box(ex::figure4(scale).expect("experiment failed"))
-    });
-    bench_case("figures", "fig5_avf_vs_contexts", 10, || {
-        black_box(ex::figure5(scale).expect("experiment failed"))
-    });
-
-    // The fetch-policy sweeps are the heaviest experiments; fewer samples.
-    bench_case("figures_policy_sweeps", "fig6_policy_avf", 5, || {
-        black_box(ex::figure6(scale).expect("experiment failed"))
-    });
-    bench_case(
-        "figures_policy_sweeps",
-        "fig7_fig8_policy_efficiency",
-        5,
-        || {
-            let sweep = ex::policy_sweep(&[4, 8], scale).expect("experiment failed");
-            let f7 = ex::fig7::figure7_from(&sweep);
-            let f8 = ex::fig8::figure8_from(&sweep, scale).expect("experiment failed");
-            black_box((f7, f8))
-        },
-    );
-}
-
 fn main() {
-    bench_tables();
-    bench_figures();
+    for e in EXPERIMENTS {
+        // Tables render without simulating; the figures are far heavier.
+        let samples = if e.name.starts_with("table") { 20 } else { 5 };
+        bench_case("experiments", e.name, samples, || {
+            black_box((e.run)(&mut Runs::new(bench_scale())).expect("experiment failed"))
+        });
+    }
 }

@@ -66,7 +66,7 @@ use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
 use sim_workload::{table2, SmtWorkload};
 use smt_avf::experiments::campaign::default_campaign;
-use smt_avf::experiments::sweep;
+use smt_avf::experiments::{policy_key, Runs};
 use smt_avf::runner::workload_generators;
 use smt_avf::ExperimentScale;
 use std::time::Instant;
@@ -507,35 +507,36 @@ fn main() {
     let mut sweep_json = String::from("null");
     if run_sweep {
         let scale = ExperimentScale::quick();
-        let mut jobs = Vec::new();
-        for wl in table2().into_iter().filter(|w| w.contexts == 2) {
-            for policy in FetchPolicyKind::STUDIED {
-                jobs.push((wl.clone(), policy));
-            }
-        }
+        let keys: Vec<_> = table2()
+            .into_iter()
+            .filter(|w| w.contexts == 2)
+            .flat_map(|w| FetchPolicyKind::STUDIED.map(|policy| policy_key(&w, policy, scale)))
+            .collect();
         let mut timings = Vec::new();
         let mut reference = None;
         for workers in [1usize, 2, 4] {
             let t0 = Instant::now();
-            let results = sweep(&jobs, scale, workers).expect("sweep failed");
+            let results = Runs::with_workers(scale, workers)
+                .results(&keys)
+                .expect("sweep failed");
             let secs = t0.elapsed().as_secs_f64();
             match &reference {
                 None => reference = Some(results),
                 Some(serial) => {
-                    for (s, p) in serial.iter().zip(&results) {
+                    for ((s, p), key) in serial.iter().zip(&results).zip(&keys) {
                         assert_eq!(
-                            (s.result.cycles, &s.result.report),
-                            (p.result.cycles, &p.result.report),
-                            "{} under {:?}: {workers}-worker sweep diverged from serial",
-                            s.workload.name,
-                            s.policy
+                            (s.cycles, &s.report),
+                            (p.cycles, &p.report),
+                            "{:?} under {:?}: {workers}-worker sweep diverged from serial",
+                            key.contexts,
+                            key.cfg.fetch_policy
                         );
                     }
                 }
             }
             println!(
                 "sweep: {} runs in {secs:.2}s at {workers} workers",
-                jobs.len()
+                keys.len()
             );
             timings.push((workers, secs));
         }
@@ -558,7 +559,7 @@ fn main() {
              \"serial_speedup_vs_baseline\": {:.3},\n    \
              \"bit_identical_across_workers\": true,\n    \
              \"per_worker\": [{per_worker}]\n  }}",
-            jobs.len(),
+            keys.len(),
             BASELINE_SWEEP_SECS / serial_secs,
         );
     }

@@ -4,8 +4,10 @@
 //! One binary, `all`, regenerating every table and figure of the paper
 //! (`cargo run --release -p smt-avf-bench --bin all`) or one named
 //! experiment (`--bin all -- fig1`), and one bench target per experiment
-//! measuring its regeneration cost (plus the ablation benches DESIGN.md calls out). The
-//! bench targets use the dependency-free [`timing`] harness so the
+//! measuring its regeneration cost (plus the ablation benches DESIGN.md
+//! calls out). Both walk the [`EXPERIMENTS`] registry over a
+//! [`Runs`] table, so each distinct simulation runs once per invocation.
+//! The bench targets use the dependency-free [`timing`] harness so the
 //! workspace builds fully offline.
 //!
 //! The binary honors the `SMT_AVF_SCALE` environment variable:
@@ -14,6 +16,7 @@
 
 pub mod timing;
 
+use smt_avf::experiments::{self as ex, Runs};
 use smt_avf::runner::RunError;
 use smt_avf::ExperimentScale;
 
@@ -40,121 +43,119 @@ pub fn bench_scale() -> ExperimentScale {
 
 /// One named experiment: a declarative row binding a name to the
 /// experiment function it runs, with the output normalized to a list of
-/// rendered blocks. `all <name>` is one [`run_experiment`] call against
-/// this registry.
+/// rendered blocks.
 pub struct Experiment {
     /// Registry name (`fig1`, `table2`, `characterize`, ...).
     pub name: &'static str,
     /// One-line description.
     pub about: &'static str,
-    /// Run at `scale`, returning the rendered tables in print order.
-    pub run: fn(ExperimentScale) -> Result<Vec<String>, RunError>,
+    /// Run against `runs`, returning the rendered tables in print order.
+    pub run: fn(&mut Runs) -> Result<Vec<String>, RunError>,
 }
 
-/// Every named experiment, in the paper's presentation order. (`all`
-/// without a name does not walk this list: it shares one policy sweep
-/// across Figures 6–8 and so has a custom driver.)
+fn render<T: ToString>(tables: impl IntoIterator<Item = T>) -> Vec<String> {
+    tables.into_iter().map(|t| t.to_string()).collect()
+}
+
+/// Every named experiment, in the paper's presentation order.
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table1",
         about: "Table 1: simulated machine configuration",
-        run: |_| Ok(vec![smt_avf::experiments::table1()]),
+        run: |_| Ok(vec![ex::table1()]),
     },
     Experiment {
         name: "table2",
         about: "Table 2: the studied workload mixes",
-        run: |_| Ok(vec![smt_avf::experiments::table2_listing()]),
+        run: |_| Ok(vec![ex::table2_listing()]),
     },
     Experiment {
         name: "characterize",
         about: "Section 3 benchmark categorization",
-        run: |s| Ok(vec![smt_avf::experiments::characterize(s)?.to_string()]),
+        run: |r| Ok(render([ex::characterize(r)?])),
     },
     Experiment {
         name: "fig1",
         about: "Figure 1: SMT microarchitecture vulnerability profile",
-        run: |s| Ok(vec![smt_avf::experiments::figure1(s)?.to_string()]),
+        run: |r| Ok(render([ex::figure1(r)?])),
     },
     Experiment {
         name: "fig2",
         about: "Figure 2: per-structure AVF by workload mix",
-        run: |s| Ok(vec![smt_avf::experiments::figure2(s)?.to_string()]),
+        run: |r| Ok(render([ex::figure2(r)?])),
     },
     Experiment {
         name: "fig3",
         about: "Figure 3: AVF of SMT vs single-thread execution",
-        run: |s| {
-            Ok(smt_avf::experiments::figure3(s)?
-                .iter()
-                .map(|t| t.to_string())
-                .collect())
-        },
+        run: |r| Ok(render(ex::figure3(r)?)),
     },
     Experiment {
         name: "fig4",
         about: "Figure 4: per-thread AVF inside SMT vs alone",
-        run: |s| {
-            Ok(smt_avf::experiments::figure4(s)?
-                .iter()
-                .map(|t| t.to_string())
-                .collect())
-        },
+        run: |r| Ok(render(ex::figure4(r)?)),
     },
     Experiment {
         name: "fig5",
         about: "Figure 5: AVF scaling with context count",
-        run: |s| {
-            let (a, b) = smt_avf::experiments::figure5(s)?;
-            Ok(vec![a.to_string(), b.to_string()])
+        run: |r| {
+            let (a, b) = ex::figure5(r)?;
+            Ok(render([a, b]))
         },
     },
     Experiment {
         name: "fig6",
         about: "Figure 6: AVF under the six fetch policies",
-        run: |s| {
-            Ok(smt_avf::experiments::figure6(s)?
-                .iter()
-                .map(|t| t.to_string())
-                .collect())
-        },
+        run: |r| Ok(render(ex::figure6(r)?)),
     },
     Experiment {
         name: "fig7",
         about: "Figure 7: IPC under the six fetch policies",
-        run: |s| Ok(vec![smt_avf::experiments::figure7(s)?.to_string()]),
+        run: |r| Ok(render([ex::figure7(r)?])),
     },
     Experiment {
         name: "fig8",
         about: "Figure 8: reliability efficiency of the fetch policies",
-        run: |s| {
-            let (a, b) = smt_avf::experiments::figure8(s)?;
-            Ok(vec![a.to_string(), b.to_string()])
+        run: |r| {
+            let (a, b) = ex::figure8(r)?;
+            Ok(render([a, b]))
         },
     },
     Experiment {
         name: "memhier",
         about: "Memory-hierarchy AVF study (extension)",
-        run: |s| Ok(vec![smt_avf::experiments::memory_hierarchy(s)?.to_string()]),
+        run: |r| Ok(render([ex::memory_hierarchy(r)?])),
     },
     Experiment {
         name: "extensions",
         about: "Section 5 extension study (PSTALL / RAFT / IQ partitioning)",
-        run: |s| Ok(vec![smt_avf::experiments::extensions(s)?.to_string()]),
+        run: |r| Ok(render([ex::extensions(r)?])),
     },
 ];
+
+/// What `all` runs without a name, in print order (the EXPERIMENTS.md
+/// source of truth): every experiment but the two standalone studies.
+pub fn all() -> Vec<&'static str> {
+    let standalone = ["characterize", "memhier"];
+    EXPERIMENTS
+        .iter()
+        .map(|e| e.name)
+        .filter(|name| !standalone.contains(name))
+        .collect()
+}
 
 /// Look up a registry row by name.
 pub fn experiment(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.name == name)
 }
 
-/// The whole of `all <name>` (e.g. `cargo run --release -p smt-avf-bench
-/// --bin all -- fig1`): resolve the scale from the environment, run the
-/// named experiment, print each rendered block.
+/// The whole of `all` (e.g. `cargo run --release -p smt-avf-bench --bin
+/// all -- fig1`): resolve the scale from the environment, run the named
+/// experiments in order over one [`Runs`] table, print each rendered
+/// block, and return the table.
 ///
 /// It additionally honors the observability knobs:
 ///
-/// * `SMT_AVF_TRACE_OUT=trace.json` — after the experiment, run the trace
+/// * `SMT_AVF_TRACE_OUT=trace.json` — after the experiments, run the trace
 ///   workload once with pipeline tracing and write Chrome Trace Event JSON
 ///   there (open in Perfetto or `chrome://tracing`).
 /// * `SMT_AVF_TELEMETRY_WINDOW=N` — record windowed AVF every N cycles on
@@ -165,15 +166,19 @@ pub fn experiment(name: &str) -> Option<&'static Experiment> {
 ///
 /// # Panics
 /// Panics on an unknown name or a failed experiment.
-pub fn run_experiment(name: &str) {
-    let e = experiment(name).unwrap_or_else(|| panic!("unknown experiment: {name}"));
-    for block in (e.run)(scale_from_env()).expect("experiment failed") {
-        println!("{block}");
+pub fn run_experiments(names: &[&str]) -> Runs {
+    let mut runs = Runs::new(scale_from_env());
+    for name in names {
+        let e = experiment(name).unwrap_or_else(|| panic!("unknown experiment: {name}"));
+        for block in (e.run)(&mut runs).expect("experiment failed") {
+            println!("{block}");
+        }
     }
-    maybe_trace(scale_from_env());
+    maybe_trace(runs.scale());
+    runs
 }
 
-/// Honor `SMT_AVF_TRACE_OUT` (see [`run_experiment`]): run the observed
+/// Honor `SMT_AVF_TRACE_OUT` (see [`run_experiments`]): run the observed
 /// workload and write the Chrome trace. A no-op when the variable is unset.
 pub fn maybe_trace(scale: ExperimentScale) {
     let Ok(path) = std::env::var("SMT_AVF_TRACE_OUT") else {
@@ -255,5 +260,18 @@ mod tests {
         assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate registry name");
         assert!(experiment("fig1").is_some());
         assert!(experiment("no-such-experiment").is_none());
+    }
+
+    #[test]
+    fn all_prints_the_paper_order_without_the_standalone_studies() {
+        let figures = [
+            "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+        ];
+        let expected: Vec<&str> = ["table1", "table2"]
+            .into_iter()
+            .chain(figures)
+            .chain(["extensions"])
+            .collect();
+        assert_eq!(all(), expected);
     }
 }

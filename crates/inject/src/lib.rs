@@ -217,8 +217,9 @@ pub struct CampaignConfig {
     /// Cycles without any commit before a trial is declared hung.
     pub hang_cycles: u64,
     /// Snapshots captured across the golden window (clamped to at least
-    /// 1); a trial replays at most `window / checkpoints` cycles before
-    /// injecting. Ignored on [`TrialPath::ReplayFromZero`].
+    /// 1 and at most one per window cycle); a trial replays at most
+    /// `window / checkpoints` cycles before injecting. Ignored on
+    /// [`TrialPath::ReplayFromZero`].
     pub checkpoints: usize,
     /// Print a heartbeat progress line to stderr as trials complete
     /// (completed count + trials/s). Off by default; purely cosmetic —
@@ -677,10 +678,11 @@ where
 {
     let core = warmed_core(factory, budget);
     let golden = run_window(core.clone(), budget)?;
-    let k = k.max(1) as u64;
     let span = golden.end - golden.start;
-    let mut cycles: Vec<u64> = (0..k).map(|i| golden.start + span * i / k).collect();
-    cycles.dedup(); // window shorter than k cycles
+    // At most one checkpoint per window cycle: with `k` ≤ span the planned
+    // cycles are distinct, and a larger `k` would only repeat them.
+    let k = (k.max(1) as u64).min(span.max(1));
+    let cycles: Vec<u64> = (0..k).map(|i| golden.start + span * i / k).collect();
     let log_base = vec![0; golden.per_thread.len()];
     let checkpointed = CheckpointedGolden {
         golden,

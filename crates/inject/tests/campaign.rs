@@ -115,3 +115,48 @@ fn degenerate_campaigns_are_rejected() {
         InjectError::ZeroTrials
     );
 }
+
+/// A 2-context core with small caches over a short window, so a campaign
+/// with a checkpoint on every window cycle keeps its snapshots small.
+fn small_machine_factory() -> SmtCore {
+    let mut cfg = MachineConfig::ispass07_baseline().with_contexts(2);
+    cfg.il1.size_bytes = 4 * 1024;
+    cfg.dl1.size_bytes = 8 * 1024;
+    cfg.l2.size_bytes = 64 * 1024;
+    let gens = ["bzip2", "eon"]
+        .iter()
+        .enumerate()
+        .map(|(i, p)| TraceGenerator::new(profile(p).expect("profiled"), i as u64 + 7))
+        .collect();
+    SmtCore::new(cfg, gens)
+}
+
+#[test]
+fn hostile_checkpoint_count_plans_each_window_cycle_once() {
+    let mut hostile = CampaignConfig::new(
+        4,
+        0xC0FFEE,
+        SimBudget::total_instructions(600).with_warmup(200),
+    );
+    hostile.targets = vec![FaultTarget::Iq, FaultTarget::Rob];
+    hostile.checkpoints = usize::MAX;
+    let prepared = PreparedCampaign::prepare(&small_machine_factory, &hostile)
+        .expect("prepare plans a capped schedule");
+    let golden = prepared.golden();
+    let window: Vec<u64> = (golden.start..golden.end).collect();
+    let planned = prepared
+        .checkpointed_golden()
+        .expect("checkpointed path")
+        .checkpoint_cycles();
+    assert_eq!(planned, window, "one checkpoint per window cycle");
+    let mut exact = hostile.clone();
+    exact.checkpoints = window.len();
+    assert_eq!(
+        run_campaign(small_machine_factory, &hostile)
+            .expect("campaign runs")
+            .records,
+        run_campaign(small_machine_factory, &exact)
+            .expect("campaign runs")
+            .records,
+    );
+}

@@ -463,7 +463,8 @@ where
     })
 }
 
-/// Execute one chunk's trials on `workers` threads; records come back in
+/// Execute one chunk's trials on `workers` threads (at most the host's
+/// available parallelism); records come back in
 /// trial-index order regardless of scheduling. Runs the prepared
 /// campaign's [`CampaignConfig::path`] — every trial path changes only
 /// wall clock, never the records, so stored chunks (and the object ids
@@ -480,7 +481,11 @@ where
     S: InstSource + Clone + Send + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers)
+    // `workers` comes from a decoded spec, so cap it at the host's
+    // parallelism: a job file must not size a thread pool. Records are
+    // worker-count-invariant, so only wall clock changes.
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers.min(host))
         .0
         .into_iter()
         .map(|exec| exec.record)

@@ -6,7 +6,7 @@
 //! cargo run --release --example smt_vs_superscalar
 //! ```
 
-use smt_avf::experiments::{smt_thread_avf, st_comparison};
+use smt_avf::experiments::{smt_thread_avf, st_comparisons, Runs};
 use smt_avf::prelude::*;
 
 fn main() {
@@ -22,7 +22,9 @@ fn main() {
         "Comparing {} threads alone vs. concurrently...\n",
         workload.name
     );
-    let c = st_comparison(&workload, scale).expect("table2 programs are profiled");
+    let c = st_comparisons(&mut Runs::new(scale), &[workload])
+        .expect("table2 programs are profiled")
+        .remove(0);
 
     println!(
         "{:<12} {:>9} {:>9} {:>9} {:>9}",

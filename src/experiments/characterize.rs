@@ -9,8 +9,8 @@
 //! both a sanity check that each synthetic profile lands in its declared
 //! class and the data a user needs to calibrate new profiles.
 
-use crate::runner::{run_single_thread, RunError};
-use crate::scale::ExperimentScale;
+use super::Runs;
+use crate::runner::{RunError, RunKey};
 use crate::table::Table;
 use sim_workload::{all_profiles, WorkloadClass};
 
@@ -44,19 +44,18 @@ impl Characterization {
     }
 }
 
-/// Characterize every profiled benchmark at `scale`. The per-benchmark
-/// runs are independent, so they fan out on the [`sim_exec`] worker pool;
-/// results stay in `all_profiles()` order for any worker count.
-pub fn characterize_all(scale: ExperimentScale) -> Result<Vec<Characterization>, RunError> {
+/// Characterize every profiled benchmark, in `all_profiles()` order.
+pub fn characterize_all(runs: &mut Runs) -> Result<Vec<Characterization>, RunError> {
     let profiles = all_profiles();
-    sim_exec::try_par_map(&profiles, sim_exec::worker_count(), |p| {
-        let r = run_single_thread(
-            p.name,
-            0xC0FFEE,
-            sim_pipeline::SimBudget::total_instructions(scale.measure_per_thread)
-                .with_warmup(scale.warmup_per_thread),
-        )?;
-        Ok(Characterization {
+    let budget = runs.scale().budget(1);
+    let keys: Vec<RunKey> = profiles
+        .iter()
+        .map(|p| RunKey::single_thread(p.name, 0xC0FFEE, budget))
+        .collect();
+    Ok(profiles
+        .iter()
+        .zip(runs.results(&keys)?)
+        .map(|(p, r)| Characterization {
             name: p.name,
             class: p.class,
             ipc: r.ipc(),
@@ -64,12 +63,12 @@ pub fn characterize_all(scale: ExperimentScale) -> Result<Vec<Characterization>,
             l2_miss_rate: r.l2_miss_rate,
             mispredict_rate: r.threads[0].mispredict_rate,
         })
-    })
+        .collect())
 }
 
 /// The characterization table (sorted CPU class first, then by name).
-pub fn characterize(scale: ExperimentScale) -> Result<Table, RunError> {
-    let mut rows = characterize_all(scale)?;
+pub fn characterize(runs: &mut Runs) -> Result<Table, RunError> {
+    let mut rows = characterize_all(runs)?;
     rows.sort_by_key(|c| (c.class != WorkloadClass::Cpu, c.name));
     let mut t = Table::new(
         "Workload characterization — single-thread IPC and miss rates (Section 3 method)",
@@ -88,6 +87,7 @@ pub fn characterize(scale: ExperimentScale) -> Result<Table, RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::ExperimentScale;
 
     #[test]
     fn every_profile_lands_in_its_declared_class() {
@@ -97,7 +97,7 @@ mod tests {
             warmup_per_thread: 150_000,
             measure_per_thread: 60_000,
         };
-        let rows = characterize_all(scale).unwrap();
+        let rows = characterize_all(&mut Runs::new(scale)).unwrap();
         assert_eq!(rows.len(), all_profiles().len());
         for c in &rows {
             assert_eq!(
@@ -114,8 +114,7 @@ mod tests {
 
     #[test]
     fn cpu_class_is_faster_than_mem_class_on_average() {
-        let scale = ExperimentScale::quick();
-        let rows = characterize_all(scale).unwrap();
+        let rows = Runs::shared_quick(characterize_all).unwrap();
         let avg = |class: WorkloadClass| {
             let v: Vec<f64> = rows
                 .iter()

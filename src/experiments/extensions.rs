@@ -4,59 +4,47 @@
 //! aware fetch throttling) and static IQ partitioning — on the 4-context
 //! MIX workloads where thread diversity makes resource allocation matter.
 
-use super::{avg_avf, avg_efficiency, mean, workloads_of};
-use crate::runner::{run_workload, run_workload_on, RunError};
-use crate::scale::ExperimentScale;
+use super::{avg_avf, avg_efficiency, grouped, mean, policy_key, workloads_of, Runs};
+use crate::runner::{RunError, RunKey};
 use crate::table::Table;
 use avf_core::StructureId;
-use sim_model::{FetchPolicyKind, MachineConfig};
-use sim_pipeline::SimResult;
+use sim_model::FetchPolicyKind;
 
-/// Design points compared by the extension study.
-const POINTS: [&str; 6] = ["ICOUNT", "FLUSH", "STALL", "PSTALL", "RAFT", "IQ-PART"];
-
-fn run_point(
-    point: &str,
-    contexts: usize,
-    scale: ExperimentScale,
-) -> Result<Vec<SimResult>, RunError> {
-    workloads_of(contexts, "MIX")
-        .iter()
-        .map(|w| match point {
-            "IQ-PART" => {
-                let mut cfg = MachineConfig::ispass07_baseline()
-                    .with_contexts(contexts)
-                    .with_fetch_policy(FetchPolicyKind::Icount);
-                cfg.iq_partitioned = true;
-                run_workload_on(&cfg, w, scale.budget(contexts))
-            }
-            _ => {
-                let policy = match point {
-                    "ICOUNT" => FetchPolicyKind::Icount,
-                    "FLUSH" => FetchPolicyKind::Flush,
-                    "STALL" => FetchPolicyKind::Stall,
-                    "PSTALL" => FetchPolicyKind::PredictiveStall,
-                    "RAFT" => FetchPolicyKind::VulnerabilityAware,
-                    other => unreachable!("unknown design point {other}"),
-                };
-                run_workload(w, policy, scale.budget(contexts))
-            }
-        })
-        .collect()
-}
+/// Design points compared by the extension study: a fetch policy, and
+/// whether the shared IQ is statically partitioned.
+const POINTS: [(&str, FetchPolicyKind, bool); 6] = [
+    ("ICOUNT", FetchPolicyKind::Icount, false),
+    ("FLUSH", FetchPolicyKind::Flush, false),
+    ("STALL", FetchPolicyKind::Stall, false),
+    ("PSTALL", FetchPolicyKind::PredictiveStall, false),
+    ("RAFT", FetchPolicyKind::VulnerabilityAware, false),
+    ("IQ-PART", FetchPolicyKind::Icount, true),
+];
 
 /// Run the extension study on the 4-context MIX workloads: per design
 /// point, IPC, IQ/ROB AVF, and IQ reliability efficiency.
-pub fn extensions(scale: ExperimentScale) -> Result<Table, RunError> {
+pub fn extensions(runs: &mut Runs) -> Result<Table, RunError> {
+    let scale = runs.scale();
+    let workloads = workloads_of(4, "MIX");
+    let groups: Vec<Vec<RunKey>> = POINTS
+        .iter()
+        .map(|&(_, policy, partitioned)| {
+            let keys = workloads.iter().map(|w| {
+                let mut key = policy_key(w, policy, scale);
+                key.cfg.iq_partitioned = partitioned;
+                key
+            });
+            keys.collect()
+        })
+        .collect();
     let mut t = Table::new(
         "Extension study — Section 5 proposals on 4-context MIX workloads",
         &["IPC", "IQ AVF", "ROB AVF", "Reg AVF", "IQ IPC/AVF"],
     );
-    for point in POINTS {
-        let runs = run_point(point, 4, scale)?;
+    for ((point, ..), runs) in POINTS.iter().zip(grouped(runs, &groups)?) {
         let ipc = mean(&runs.iter().map(|r| r.ipc()).collect::<Vec<_>>());
         t.push(
-            point,
+            *point,
             vec![
                 ipc,
                 avg_avf(&runs, StructureId::Iq),
@@ -75,7 +63,7 @@ mod tests {
 
     #[test]
     fn extension_points_all_run_and_improve_iq_avf() {
-        let t = extensions(ExperimentScale::quick()).unwrap();
+        let t = Runs::shared_quick(extensions).unwrap();
         assert_eq!(t.rows().len(), POINTS.len());
         let icount_iq = t.value("ICOUNT", "IQ AVF").unwrap();
         for point in ["PSTALL", "RAFT", "IQ-PART"] {

@@ -2,30 +2,14 @@
 //! processor (4 contexts, ICOUNT), per structure, for CPU / MIX / MEM
 //! workloads (average of groups A and B).
 
-use super::{avg_avf, run_mix, MIX_LABELS};
+use super::{avg_avf, mix_runs, Runs, MIX_LABELS};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
-use sim_model::FetchPolicyKind;
-use sim_pipeline::SimResult;
-
-/// Run the 4-context ICOUNT baselines Figures 1 and 2 share: one result
-/// set per mix label.
-pub fn baseline_mix_runs(scale: ExperimentScale) -> Result<Vec<Vec<SimResult>>, RunError> {
-    MIX_LABELS
-        .iter()
-        .map(|mix| run_mix(4, mix, FetchPolicyKind::Icount, scale))
-        .collect()
-}
 
 /// Regenerate Figure 1.
-pub fn figure1(scale: ExperimentScale) -> Result<Table, RunError> {
-    Ok(figure1_from(&baseline_mix_runs(scale)?))
-}
-
-/// Build Figure 1 from existing baseline runs.
-pub fn figure1_from(per_mix: &[Vec<SimResult>]) -> Table {
+pub fn figure1(runs: &mut Runs) -> Result<Table, RunError> {
+    let per_mix = mix_runs(runs, &[4])?;
     let mut table = Table::new(
         "Figure 1 — Microarchitecture Vulnerability Profile (4 contexts, ICOUNT), AVF",
         &MIX_LABELS,
@@ -37,7 +21,7 @@ pub fn figure1_from(per_mix: &[Vec<SimResult>]) -> Table {
             per_mix.iter().map(|runs| avg_avf(runs, s)).collect(),
         );
     }
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -46,7 +30,7 @@ mod tests {
 
     #[test]
     fn figure1_shape_matches_paper() {
-        let t = figure1(ExperimentScale::quick()).unwrap();
+        let t = Runs::shared_quick(figure1).unwrap();
         // Shared pipeline structures are more vulnerable on MEM workloads.
         assert!(t.value("IQ", "MEM").unwrap() > t.value("IQ", "CPU").unwrap());
         // FU and DL1 data AVF drop on MEM workloads.

@@ -1,21 +1,14 @@
 //! Figure 2: microarchitecture reliability efficiency (IPC/AVF) across
 //! workload mixes (4 contexts, ICOUNT).
 
-use super::fig1::baseline_mix_runs;
-use super::{avg_efficiency, MIX_LABELS};
+use super::{avg_efficiency, mix_runs, Runs, MIX_LABELS};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
-use sim_pipeline::SimResult;
 
-/// Regenerate Figure 2.
-pub fn figure2(scale: ExperimentScale) -> Result<Table, RunError> {
-    Ok(figure2_from(&baseline_mix_runs(scale)?))
-}
-
-/// Build Figure 2 from existing baseline runs (shared with Figure 1).
-pub fn figure2_from(per_mix: &[Vec<SimResult>]) -> Table {
+/// Regenerate Figure 2 (from the same runs as Figure 1).
+pub fn figure2(runs: &mut Runs) -> Result<Table, RunError> {
+    let per_mix = mix_runs(runs, &[4])?;
     let mut table = Table::new(
         "Figure 2 — Reliability Efficiency IPC/AVF (4 contexts, ICOUNT)",
         &MIX_LABELS,
@@ -27,7 +20,7 @@ pub fn figure2_from(per_mix: &[Vec<SimResult>]) -> Table {
             per_mix.iter().map(|runs| avg_efficiency(runs, s)).collect(),
         );
     }
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -36,7 +29,7 @@ mod tests {
 
     #[test]
     fn cpu_workloads_have_best_reliability_efficiency() {
-        let t = figure2(ExperimentScale::quick()).unwrap();
+        let t = Runs::shared_quick(figure2).unwrap();
         // "SMT microarchitecture yields the highest reliability efficiency
         // on CPU-bound workloads" — check on the majority of structures.
         let mut cpu_wins = 0;

@@ -2,9 +2,8 @@
 //! execution — per-thread IQ/FU/ROB AVF for the 4-context group-A
 //! workloads, plus the all-threads aggregate against the weighted ST AVF.
 
-use super::{smt_thread_avf, st_comparison, StComparison};
+use super::{smt_thread_avf, st_comparisons, Runs, StComparison};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
 use sim_workload::table2;
@@ -15,18 +14,18 @@ pub const FIG3_STRUCTURES: [StructureId; 3] = [StructureId::Iq, StructureId::Fu,
 /// Regenerate Figure 3: one table per 4-context group-A workload, with one
 /// row per thread (`<prog>`), and a final `all threads` row comparing the
 /// aggregate SMT AVF to the work-weighted ST AVF.
-pub fn figure3(scale: ExperimentScale) -> Result<Vec<Table>, RunError> {
-    Ok(comparisons(scale)?.iter().map(table_for).collect())
+pub fn figure3(runs: &mut Runs) -> Result<Vec<Table>, RunError> {
+    Ok(comparisons(runs)?.iter().map(table_for).collect())
 }
 
-/// Run the SMT + progress-matched ST simulations Figure 3 and Figure 4
-/// share.
-pub fn comparisons(scale: ExperimentScale) -> Result<Vec<StComparison>, RunError> {
-    table2()
+/// The SMT + progress-matched ST comparisons Figure 3 and Figure 4 share:
+/// the 4-context group-A workloads.
+pub(crate) fn comparisons(runs: &mut Runs) -> Result<Vec<StComparison>, RunError> {
+    let workloads: Vec<_> = table2()
         .into_iter()
         .filter(|w| w.contexts == 4 && w.group == 'A')
-        .map(|w| st_comparison(&w, scale))
-        .collect()
+        .collect();
+    st_comparisons(runs, &workloads)
 }
 
 fn table_for(c: &StComparison) -> Table {
@@ -78,7 +77,7 @@ mod tests {
 
     #[test]
     fn smt_reduces_per_thread_vulnerability_but_raises_aggregate_iq() {
-        let tables = figure3(ExperimentScale::quick()).unwrap();
+        let tables = Runs::shared_quick(figure3).unwrap();
         assert_eq!(tables.len(), MIX_LABELS.len());
         let cpu = &tables[0];
         // Aggregate IQ AVF in SMT exceeds the weighted sequential AVF

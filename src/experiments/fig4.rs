@@ -2,15 +2,14 @@
 //! execution, per thread, for the 4-context group-A workloads.
 
 use super::fig3::{comparisons, FIG3_STRUCTURES};
-use super::{smt_thread_avf, StComparison};
+use super::{smt_thread_avf, Runs, StComparison};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::metrics;
 
 /// Regenerate Figure 4: per-thread IPC/AVF under ST and SMT execution.
-pub fn figure4(scale: ExperimentScale) -> Result<Vec<Table>, RunError> {
-    Ok(comparisons(scale)?.iter().map(table_for).collect())
+pub fn figure4(runs: &mut Runs) -> Result<Vec<Table>, RunError> {
+    Ok(comparisons(runs)?.iter().map(table_for).collect())
 }
 
 fn table_for(c: &StComparison) -> Table {
@@ -59,7 +58,7 @@ mod tests {
 
     #[test]
     fn figure4_produces_finite_positive_efficiencies() {
-        let tables = figure4(ExperimentScale::quick()).unwrap();
+        let tables = Runs::shared_quick(figure4).unwrap();
         assert_eq!(tables.len(), 3);
         for t in &tables {
             for (label, row) in t.rows() {
@@ -74,7 +73,7 @@ mod tests {
     fn smt_beats_weighted_st_efficiency_overall_on_mem() {
         // "SMT architecture outperforms superscalar for all of the cases
         // except the IQ on CPU workloads" — check a MEM aggregate case.
-        let tables = figure4(ExperimentScale::quick()).unwrap();
+        let tables = Runs::shared_quick(figure4).unwrap();
         let mem = &tables[2];
         let st = mem.value("all threads", "FU_ST").unwrap();
         let smt = mem.value("all threads", "FU_SMT").unwrap();

@@ -2,12 +2,10 @@
 //! contexts (2 / 4 / 8), for pipeline structures (left panel) and memory
 //! structures (right panel), per workload mix.
 
-use super::{avg_avf, run_mix, MIX_LABELS};
+use super::{avg_avf, mix_runs, Runs, MIX_LABELS};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
-use sim_model::FetchPolicyKind;
 
 /// Left panel: shared pipeline structures.
 pub const PIPELINE_PANEL: [StructureId; 4] = [
@@ -27,18 +25,10 @@ pub const MEMORY_PANEL: [StructureId; 4] = [
 
 /// Regenerate Figure 5 (both panels). Rows are `structure mix`, columns
 /// are context counts.
-pub fn figure5(scale: ExperimentScale) -> Result<(Table, Table), RunError> {
+pub fn figure5(runs: &mut Runs) -> Result<(Table, Table), RunError> {
     let contexts = [2usize, 4, 8];
-    // (mix, ctx) -> results
-    let runs: Vec<Vec<_>> = MIX_LABELS
-        .iter()
-        .map(|mix| {
-            contexts
-                .iter()
-                .map(|&c| run_mix(c, mix, FetchPolicyKind::Icount, scale))
-                .collect::<Result<_, _>>()
-        })
-        .collect::<Result<_, _>>()?;
+    // (ctx, mix) -> results
+    let runs = mix_runs(runs, &contexts)?;
     let build = |title: &str, panel: &[StructureId]| {
         let mut t = Table::new(title, &["2T", "4T", "8T"]).percent();
         for &s in panel {
@@ -46,7 +36,7 @@ pub fn figure5(scale: ExperimentScale) -> Result<(Table, Table), RunError> {
                 t.push(
                     format!("{} {}", s.label(), mix),
                     (0..contexts.len())
-                        .map(|ci| avg_avf(&runs[mi][ci], s))
+                        .map(|ci| avg_avf(&runs[ci * MIX_LABELS.len() + mi], s))
                         .collect(),
                 );
             }
@@ -71,7 +61,7 @@ mod tests {
 
     #[test]
     fn iq_avf_rises_with_contexts() {
-        let (pipe, mem) = figure5(ExperimentScale::quick()).unwrap();
+        let (pipe, mem) = Runs::shared_quick(figure5).unwrap();
         for mix in MIX_LABELS {
             let two = pipe.value(&format!("IQ {mix}"), "2T").unwrap();
             let eight = pipe.value(&format!("IQ {mix}"), "8T").unwrap();

@@ -2,22 +2,16 @@
 //! FLUSH, STALL, DG, PDG, DWARN) for 4-context (panel a) and 8-context
 //! (panel b) workloads, per mix.
 
-use super::{mean, policy_sweep, SweepEntry, MIX_LABELS};
+use super::{mean, policy_sweep, Runs, MIX_LABELS};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
 use sim_model::FetchPolicyKind;
 
-/// Regenerate Figure 6 from a fresh policy sweep: one table per (context
-/// count, mix); rows are structures, columns are fetch policies.
-pub fn figure6(scale: ExperimentScale) -> Result<Vec<Table>, RunError> {
-    Ok(figure6_from(&policy_sweep(&[4, 8], scale)?))
-}
-
-/// Build the Figure 6 tables from an existing sweep (the `all` binary
-/// shares one sweep between Figures 6, 7 and 8).
-pub fn figure6_from(sweep: &[SweepEntry]) -> Vec<Table> {
+/// Regenerate Figure 6: one table per (context count, mix); rows are
+/// structures, columns are fetch policies.
+pub fn figure6(runs: &mut Runs) -> Result<Vec<Table>, RunError> {
+    let sweep = policy_sweep(runs)?;
     let policies = FetchPolicyKind::STUDIED;
     let labels: Vec<&str> = policies.iter().map(|p| p.label()).collect();
     let mut out = Vec::new();
@@ -52,7 +46,7 @@ pub fn figure6_from(sweep: &[SweepEntry]) -> Vec<Table> {
             out.push(t);
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -61,7 +55,7 @@ mod tests {
 
     #[test]
     fn flush_collapses_iq_rob_lsq_avf_on_mem_workloads() {
-        let tables = figure6(ExperimentScale::quick()).unwrap();
+        let tables = Runs::shared_quick(figure6).unwrap();
         assert_eq!(tables.len(), 6);
         // 4-context MEM panel.
         let t = &tables[2];

@@ -1,9 +1,8 @@
 //! Figure 7: reliability efficiency (throughput-IPC/AVF) of the five
 //! advanced fetch policies, normalized to the ICOUNT baseline.
 
-use super::{mean, policy_sweep, SweepEntry};
+use super::{mean, policy_sweep, Runs, SweepEntry};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
 use sim_model::FetchPolicyKind;
@@ -17,15 +16,10 @@ pub const ADVANCED: [FetchPolicyKind; 5] = [
     FetchPolicyKind::DWarn,
 ];
 
-/// Regenerate Figure 7 from a fresh policy sweep over the 4- and 8-context
+/// Regenerate Figure 7 from the policy sweep over the 4- and 8-context
 /// workloads.
-pub fn figure7(scale: ExperimentScale) -> Result<Table, RunError> {
-    let sweep = policy_sweep(&[4, 8], scale)?;
-    Ok(figure7_from(&sweep))
-}
-
-/// Build the Figure 7 table from an existing sweep (shared with Figure 8).
-pub fn figure7_from(sweep: &[SweepEntry]) -> Table {
+pub fn figure7(runs: &mut Runs) -> Result<Table, RunError> {
+    let sweep = policy_sweep(runs)?;
     let labels: Vec<&str> = ADVANCED.iter().map(|p| p.label()).collect();
     let mut t = Table::new(
         "Figure 7 — IPC/AVF normalized to ICOUNT (4+8 contexts, all mixes)",
@@ -35,14 +29,14 @@ pub fn figure7_from(sweep: &[SweepEntry]) -> Table {
         let row: Vec<f64> = ADVANCED
             .iter()
             .map(|&p| {
-                normalized_metric(sweep, s, p, |e, s| {
+                normalized_metric(&sweep, s, p, |e, s| {
                     e.result.report.reliability_efficiency(s)
                 })
             })
             .collect();
         t.push(s.label(), row);
     }
-    t
+    Ok(t)
 }
 
 /// Average over workloads of `metric(policy run) / metric(ICOUNT run)` for
@@ -90,7 +84,7 @@ mod tests {
 
     #[test]
     fn flush_improves_iq_reliability_efficiency() {
-        let t = figure7(ExperimentScale::quick()).unwrap();
+        let t = Runs::shared_quick(figure7).unwrap();
         let flush_iq = t.value("IQ", "FLUSH").unwrap();
         assert!(
             flush_iq > 1.0,

@@ -2,12 +2,10 @@
 //! TLB tag/data AVFs across workload mixes — extending Figure 1's shared
 //! memory-structure panel to the full hierarchy the framework tracks.
 
-use super::{avg_avf, run_mix, MIX_LABELS};
+use super::{avg_avf, mix_runs, Runs, MIX_LABELS};
 use crate::runner::RunError;
-use crate::scale::ExperimentScale;
 use crate::table::Table;
 use avf_core::StructureId;
-use sim_model::FetchPolicyKind;
 
 /// The memory-hierarchy structures, L1 to L2.
 pub const HIERARCHY: [StructureId; 8] = [
@@ -22,23 +20,17 @@ pub const HIERARCHY: [StructureId; 8] = [
 ];
 
 /// Run the memory-hierarchy AVF study (4 contexts, ICOUNT).
-pub fn memory_hierarchy(scale: ExperimentScale) -> Result<Table, RunError> {
+pub fn memory_hierarchy(runs: &mut Runs) -> Result<Table, RunError> {
+    let per_mix = mix_runs(runs, &[4])?;
     let mut t = Table::new(
         "Memory-hierarchy AVF (4 contexts, ICOUNT) — extension beyond Figure 1",
         &MIX_LABELS,
     )
     .percent();
-    let per_mix: Vec<_> = MIX_LABELS
-        .iter()
-        .map(|mix| run_mix(4, mix, FetchPolicyKind::Icount, scale))
-        .collect::<Result<_, _>>()?;
     for s in HIERARCHY {
         t.push(
             s.label(),
-            per_mix
-                .iter()
-                .map(|runs: &Vec<_>| avg_avf(runs, s))
-                .collect(),
+            per_mix.iter().map(|runs| avg_avf(runs, s)).collect(),
         );
     }
     Ok(t)
@@ -50,7 +42,7 @@ mod tests {
 
     #[test]
     fn hierarchy_avfs_are_sane() {
-        let t = memory_hierarchy(ExperimentScale::quick()).unwrap();
+        let t = Runs::shared_quick(memory_hierarchy).unwrap();
         assert_eq!(t.rows().len(), HIERARCHY.len());
         for (label, row) in t.rows() {
             for &v in row {

@@ -1,10 +1,13 @@
 //! Experiment runners regenerating every table and figure of the paper.
 //!
-//! Each `figureN` function runs the required simulations at a given
-//! [`ExperimentScale`] and returns [`Table`](crate::Table)s whose rows/columns mirror the
-//! paper's panels. The `bench` crate runs any one of them by name
-//! (`cargo run --release -p smt-avf-bench --bin all -- fig1`), and EXPERIMENTS.md
-//! records measured-vs-paper shapes.
+//! The figures are views over one shared set of simulations: the
+//! 4-context ICOUNT runs alone feed Figures 1–5, the fetch-policy sweep
+//! and the extension study. So every experiment is a function of a
+//! [`Runs`] table, which simulates each distinct [`RunKey`] once per
+//! invocation, and returns [`Table`](crate::Table)s whose rows/columns
+//! mirror the paper's panels. The `bench` crate runs any one of them by
+//! name (`cargo run --release -p smt-avf-bench --bin all -- fig1`), and
+//! EXPERIMENTS.md records measured-vs-paper shapes.
 
 pub mod campaign;
 pub mod characterize;
@@ -34,16 +37,101 @@ pub use fig8::figure8;
 pub use memhier::memory_hierarchy;
 pub use tables::{table1, table2_listing};
 
-use crate::runner::{run_single_thread, run_workload, workload_seed, RunError};
+use crate::runner::{workload_seed, RunError, RunKey};
 use crate::scale::ExperimentScale;
 use avf_core::StructureId;
 use sim_model::FetchPolicyKind;
 use sim_pipeline::{SimBudget, SimResult};
 use sim_workload::{table2, SmtWorkload};
-use std::collections::HashMap;
 
 /// The workload mix labels in the paper's presentation order.
 pub const MIX_LABELS: [&str; 3] = ["CPU", "MIX", "MEM"];
+
+/// The simulations of one invocation, each distinct [`RunKey`] run once.
+///
+/// Experiments ask the table for the runs they need; a key already in it
+/// is answered from the table, not simulated again. The caller owns the
+/// table and drops it when the invocation ends, so no result outlives the
+/// run that asked for it.
+pub struct Runs {
+    scale: ExperimentScale,
+    workers: usize,
+    table: Vec<(RunKey, SimResult)>,
+}
+
+impl Runs {
+    /// An empty table at `scale`, simulating on the default worker pool
+    /// ([`sim_exec::worker_count`]).
+    pub fn new(scale: ExperimentScale) -> Runs {
+        Runs::with_workers(scale, sim_exec::worker_count())
+    }
+
+    /// An empty table simulating on `workers` threads. Results are
+    /// bit-identical for any worker count ([`sim_exec`]'s determinism
+    /// contract); `workers == 1` is the serial reference.
+    pub fn with_workers(scale: ExperimentScale, workers: usize) -> Runs {
+        Runs {
+            scale,
+            workers,
+            table: Vec::new(),
+        }
+    }
+
+    /// The scale experiments size their budgets by.
+    pub fn scale(&self) -> ExperimentScale {
+        self.scale
+    }
+
+    /// Distinct simulations run so far.
+    pub fn simulations(&self) -> usize {
+        self.table.len()
+    }
+
+    /// The results of `keys`, in request order. The keys not yet in the
+    /// table are simulated in one worker-pool call, each distinct key
+    /// once; the others are copies of the earlier results.
+    pub fn results(&mut self, keys: &[RunKey]) -> Result<Vec<SimResult>, RunError> {
+        let mut missing: Vec<RunKey> = Vec::new();
+        for key in keys {
+            if self.find(key).is_none() && !missing.contains(key) {
+                missing.push(key.clone());
+            }
+        }
+        let fresh = sim_exec::try_par_map(&missing, self.workers, RunKey::run)?;
+        self.table.extend(missing.into_iter().zip(fresh));
+        Ok(keys
+            .iter()
+            .map(|key| self.find(key).expect("simulated above").clone())
+            .collect())
+    }
+
+    fn find(&self, key: &RunKey) -> Option<&SimResult> {
+        self.table.iter().find(|(k, _)| k == key).map(|(_, r)| r)
+    }
+}
+
+/// The key of `workload` under `policy` on the Table 1 baseline machine,
+/// with the budget `scale` gives its context count.
+pub fn policy_key(
+    workload: &SmtWorkload,
+    policy: FetchPolicyKind,
+    scale: ExperimentScale,
+) -> RunKey {
+    RunKey::baseline(workload, policy, scale.budget(workload.contexts))
+}
+
+/// [`Runs::results`] for groups of keys requested together; the results
+/// come back grouped the same way.
+pub(crate) fn grouped(
+    runs: &mut Runs,
+    groups: &[Vec<RunKey>],
+) -> Result<Vec<Vec<SimResult>>, RunError> {
+    let mut results = runs.results(&groups.concat())?.into_iter();
+    Ok(groups
+        .iter()
+        .map(|g| results.by_ref().take(g.len()).collect())
+        .collect())
+}
 
 /// Mean of a slice (0 for empty input).
 pub(crate) fn mean(xs: &[f64]) -> f64 {
@@ -62,20 +150,24 @@ pub(crate) fn workloads_of(contexts: usize, mix_label: &str) -> Vec<SmtWorkload>
         .collect()
 }
 
-/// Run every group of `(contexts, mix)` under `policy` and return results.
-///
-/// Runs execute on the [`sim_exec`] worker pool; results are in workload
-/// order and bit-identical to a serial run for any worker count.
-pub(crate) fn run_mix(
-    contexts: usize,
-    mix_label: &str,
-    policy: FetchPolicyKind,
-    scale: ExperimentScale,
-) -> Result<Vec<SimResult>, RunError> {
-    let workloads = workloads_of(contexts, mix_label);
-    sim_exec::try_par_map(&workloads, sim_exec::worker_count(), |w| {
-        run_workload(w, policy, scale.budget(contexts))
-    })
+/// The ICOUNT runs of every Table 2 group, one result set per
+/// `(contexts, mix)` in `contexts_list` × [`MIX_LABELS`] order.
+pub(crate) fn mix_runs(
+    runs: &mut Runs,
+    contexts_list: &[usize],
+) -> Result<Vec<Vec<SimResult>>, RunError> {
+    let scale = runs.scale();
+    let groups: Vec<Vec<RunKey>> = contexts_list
+        .iter()
+        .flat_map(|&contexts| MIX_LABELS.map(|mix| workloads_of(contexts, mix)))
+        .map(|ws| {
+            let keys = ws
+                .iter()
+                .map(|w| policy_key(w, FetchPolicyKind::Icount, scale));
+            keys.collect()
+        })
+        .collect();
+    grouped(runs, &groups)
 }
 
 /// Average AVF of `structure` across runs.
@@ -115,32 +207,36 @@ pub struct StComparison {
     pub st: Vec<SimResult>,
 }
 
-/// Build the Figure 3/4 comparison for one workload: run SMT, then replay
-/// each thread's *same dynamic instruction stream* alone for the same
-/// instruction count (the paper's methodology, Section 4.1).
-pub fn st_comparison(
-    workload: &SmtWorkload,
-    scale: ExperimentScale,
-) -> Result<StComparison, RunError> {
-    let smt = run_workload(
-        workload,
-        FetchPolicyKind::Icount,
-        scale.budget(workload.contexts),
-    )?;
-    // The per-thread replays are independent of each other (only the SMT
-    // run above feeds them), so they fan out on the worker pool.
-    let st = sim_exec::run_indexed(workload.programs.len(), sim_exec::worker_count(), |i| {
-        let committed = smt.report.committed()[i].max(1_000);
-        let budget = SimBudget::total_instructions(committed).with_warmup(scale.warmup_per_thread);
-        run_single_thread(workload.programs[i], workload_seed(workload, i), budget)
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    Ok(StComparison {
-        workload: workload.clone(),
-        smt,
-        st,
-    })
+/// Build the Figure 3/4 comparison for each of `workloads`: run SMT under
+/// ICOUNT, then replay each thread's *same dynamic instruction stream*
+/// alone for the same instruction count (the paper's methodology,
+/// Section 4.1).
+pub fn st_comparisons(
+    runs: &mut Runs,
+    workloads: &[SmtWorkload],
+) -> Result<Vec<StComparison>, RunError> {
+    let scale = runs.scale();
+    let smt_keys: Vec<RunKey> = workloads
+        .iter()
+        .map(|w| policy_key(w, FetchPolicyKind::Icount, scale))
+        .collect();
+    let mut out = Vec::new();
+    for (w, smt) in workloads.iter().zip(runs.results(&smt_keys)?) {
+        let st_keys: Vec<RunKey> = (0..w.contexts)
+            .map(|i| {
+                let committed = smt.report.committed()[i].max(1_000);
+                let budget =
+                    SimBudget::total_instructions(committed).with_warmup(scale.warmup_per_thread);
+                RunKey::single_thread(w.programs[i], workload_seed(w, i), budget)
+            })
+            .collect();
+        out.push(StComparison {
+            workload: w.clone(),
+            st: runs.results(&st_keys)?,
+            smt,
+        });
+    }
+    Ok(out)
 }
 
 /// A thread's AVF contribution in the SMT run, made comparable to a
@@ -166,73 +262,38 @@ pub struct SweepEntry {
     pub result: SimResult,
 }
 
-/// Run every `(workload, policy)` pair for the given context counts —
-/// the data behind Figures 6, 7 and 8 — on the default worker pool.
-pub fn policy_sweep(
-    contexts_list: &[usize],
-    scale: ExperimentScale,
-) -> Result<Vec<SweepEntry>, RunError> {
-    let mut jobs = Vec::new();
-    for &contexts in contexts_list {
-        for w in table2().into_iter().filter(|w| w.contexts == contexts) {
-            for policy in FetchPolicyKind::STUDIED {
-                jobs.push((w.clone(), policy));
-            }
-        }
-    }
-    sweep(&jobs, scale, sim_exec::worker_count())
-}
-
-/// Run an explicit `(workload, policy)` job list on `workers` threads.
-///
-/// Results come back in job order and are bit-identical for any worker
-/// count ([`sim_exec`]'s determinism contract); `workers == 1` is the
-/// serial reference the parallel runs are checked against in tests.
-pub fn sweep(
-    jobs: &[(SmtWorkload, FetchPolicyKind)],
-    scale: ExperimentScale,
-    workers: usize,
-) -> Result<Vec<SweepEntry>, RunError> {
-    sim_exec::try_par_map(jobs, workers, |(w, policy)| {
-        let result = run_workload(w, *policy, scale.budget(w.contexts))?;
-        Ok(SweepEntry {
-            workload: w.clone(),
-            policy: *policy,
+/// Every `(workload, policy)` pair of the 4- and 8-context workloads under
+/// the studied fetch policies — the data behind Figures 6, 7 and 8.
+pub(crate) fn policy_sweep(runs: &mut Runs) -> Result<Vec<SweepEntry>, RunError> {
+    let jobs: Vec<(SmtWorkload, FetchPolicyKind)> = table2()
+        .into_iter()
+        .filter(|w| matches!(w.contexts, 4 | 8))
+        .flat_map(|w| FetchPolicyKind::STUDIED.map(|policy| (w.clone(), policy)))
+        .collect();
+    let scale = runs.scale();
+    let keys: Vec<RunKey> = jobs
+        .iter()
+        .map(|(w, policy)| policy_key(w, *policy, scale))
+        .collect();
+    Ok(jobs
+        .into_iter()
+        .zip(runs.results(&keys)?)
+        .map(|((workload, policy), result)| SweepEntry {
+            workload,
+            policy,
             result,
         })
-    })
+        .collect())
 }
 
-/// Cached single-thread IPC per program (fixed-length steady-state run),
-/// used as the weighted-speedup denominator in Figure 8.
-pub struct StIpcCache {
-    scale: ExperimentScale,
-    cache: HashMap<String, f64>,
-}
-
-impl StIpcCache {
-    /// An empty cache computing baselines at `scale`.
-    pub fn new(scale: ExperimentScale) -> StIpcCache {
-        StIpcCache {
-            scale,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The single-thread IPC of `program` (memoized).
-    pub fn ipc(&mut self, program: &str) -> Result<f64, RunError> {
-        if let Some(&v) = self.cache.get(program) {
-            return Ok(v);
-        }
-        let budget = SimBudget::total_instructions(self.scale.measure_per_thread)
-            .with_warmup(self.scale.warmup_per_thread);
-        // A fixed seed per program: the baseline is the program's
-        // steady-state single-thread IPC (the workload-instance seeds are
-        // irrelevant because the synthetic streams are phase-stationary).
-        let seed = 1_000 + program.len() as u64;
-        let v = run_single_thread(program, seed, budget)?.ipc().max(1e-6);
-        self.cache.insert(program.to_string(), v);
-        Ok(v)
+#[cfg(test)]
+impl Runs {
+    /// Run `f` on the quick-scale table every unit test in this crate
+    /// shares, so each distinct simulation runs once per test binary.
+    pub(crate) fn shared_quick<T>(f: impl FnOnce(&mut Runs) -> T) -> T {
+        static SHARED: std::sync::Mutex<Option<Runs>> = std::sync::Mutex::new(None);
+        let mut runs = SHARED.lock().unwrap_or_else(|e| e.into_inner());
+        f(runs.get_or_insert_with(|| Runs::new(ExperimentScale::quick())))
     }
 }
 

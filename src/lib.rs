@@ -40,7 +40,7 @@ pub mod table;
 
 pub use runner::{
     run_single_thread, run_workload, run_workload_observed, workload_seed, ObservedRun, Observers,
-    RunError, TraceSettings,
+    RunError, RunKey, TraceSettings,
 };
 pub use scale::ExperimentScale;
 pub use table::Table;

@@ -1,5 +1,6 @@
-//! Simulation runners: one multithreaded run, one single-thread run, and
-//! the deterministic seeding scheme tying them together — plus the
+//! Simulation runners: one multithreaded run, one single-thread run, the
+//! [`RunKey`] both build their core from, and the deterministic seeding
+//! scheme tying them together — plus the
 //! *observed* variant that layers tracing and windowed-AVF telemetry onto
 //! a run.
 
@@ -54,10 +55,7 @@ pub fn run_workload(
     policy: FetchPolicyKind,
     budget: SimBudget,
 ) -> Result<SimResult, RunError> {
-    let cfg = MachineConfig::ispass07_baseline()
-        .with_contexts(workload.contexts)
-        .with_fetch_policy(policy);
-    run_workload_on(&cfg, workload, budget)
+    RunKey::baseline(workload, policy, budget).run()
 }
 
 /// Run one workload on an explicit machine configuration (used by the
@@ -67,8 +65,7 @@ pub fn run_workload_on(
     workload: &SmtWorkload,
     budget: SimBudget,
 ) -> Result<SimResult, RunError> {
-    let mut core = SmtCore::new(cfg.clone(), workload_generators(workload)?);
-    Ok(core.run(budget))
+    RunKey::workload(cfg.clone(), workload, budget).run()
 }
 
 /// Build the per-context trace generators for `workload` with the standard
@@ -79,13 +76,78 @@ pub fn workload_generators(workload: &SmtWorkload) -> Result<Vec<TraceGenerator>
         .programs
         .iter()
         .enumerate()
-        .map(|(i, name)| {
-            let p = profile(name).ok_or_else(|| RunError::UnknownBenchmark {
-                name: name.to_string(),
-            })?;
-            Ok(TraceGenerator::new(p, workload_seed(workload, i)))
-        })
+        .map(|(i, name)| generator(name, workload_seed(workload, i)))
         .collect()
+}
+
+fn generator(program: &str, seed: u64) -> Result<TraceGenerator, RunError> {
+    let p = profile(program).ok_or_else(|| RunError::UnknownBenchmark {
+        name: program.to_string(),
+    })?;
+    Ok(TraceGenerator::new(p, seed))
+}
+
+/// The full input of one simulation: the machine, each context's
+/// `(program, seed)` in context order, and the budget. Simulation is
+/// deterministic, so two runs with equal keys are bit-identical — which is
+/// what lets [`Runs`](crate::experiments::Runs) simulate each key once.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunKey {
+    /// The simulated machine.
+    pub cfg: MachineConfig,
+    /// Per-context program and generator seed, in context order.
+    pub contexts: Vec<(String, u64)>,
+    /// Warm-up, measurement window and cycle cap.
+    pub budget: SimBudget,
+}
+
+impl RunKey {
+    /// `workload` on `cfg`, each context seeded by [`workload_seed`].
+    pub fn workload(cfg: MachineConfig, workload: &SmtWorkload, budget: SimBudget) -> RunKey {
+        let contexts = workload
+            .programs
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.to_string(), workload_seed(workload, i)))
+            .collect();
+        RunKey {
+            cfg,
+            contexts,
+            budget,
+        }
+    }
+
+    /// `workload` under `policy` on the Table 1 baseline machine.
+    pub fn baseline(workload: &SmtWorkload, policy: FetchPolicyKind, budget: SimBudget) -> RunKey {
+        let cfg = MachineConfig::ispass07_baseline()
+            .with_contexts(workload.contexts)
+            .with_fetch_policy(policy);
+        RunKey::workload(cfg, workload, budget)
+    }
+
+    /// `program` alone on the superscalar (1-context) baseline machine.
+    pub fn single_thread(program: &str, seed: u64, budget: SimBudget) -> RunKey {
+        RunKey {
+            cfg: MachineConfig::ispass07_baseline().with_contexts(1),
+            contexts: vec![(program.to_string(), seed)],
+            budget,
+        }
+    }
+
+    /// Build the core this key describes, without running it.
+    pub fn core(&self) -> Result<SmtCore, RunError> {
+        let gens = self
+            .contexts
+            .iter()
+            .map(|(name, seed)| generator(name, *seed))
+            .collect::<Result<_, _>>()?;
+        Ok(SmtCore::new(self.cfg.clone(), gens))
+    }
+
+    /// Simulate the key.
+    pub fn run(&self) -> Result<SimResult, RunError> {
+        Ok(self.core()?.run(self.budget))
+    }
 }
 
 /// Ring-buffer trace capture settings for an observed run.
@@ -176,7 +238,7 @@ pub fn run_workload_observed(
     budget: SimBudget,
     obs: &Observers,
 ) -> Result<ObservedRun, RunError> {
-    let mut core = SmtCore::new(cfg.clone(), workload_generators(workload)?);
+    let mut core = RunKey::workload(cfg.clone(), workload, budget).core()?;
     if let Some(window) = obs.telemetry_window {
         core.enable_telemetry(window);
     }
@@ -228,12 +290,7 @@ pub fn run_single_thread(
     seed: u64,
     budget: SimBudget,
 ) -> Result<SimResult, RunError> {
-    let cfg = MachineConfig::ispass07_baseline().with_contexts(1);
-    let p = profile(program).ok_or_else(|| RunError::UnknownBenchmark {
-        name: program.to_string(),
-    })?;
-    let mut core = SmtCore::new(cfg, vec![TraceGenerator::new(p, seed)]);
-    Ok(core.run(budget))
+    RunKey::single_thread(program, seed, budget).run()
 }
 
 #[cfg(test)]

@@ -2,18 +2,29 @@
 //! reduced scale. These are the "shape" guarantees EXPERIMENTS.md records
 //! at full scale.
 
+use smt_avf::experiments::{policy_key, Runs};
 use smt_avf::prelude::*;
+use std::sync::Mutex;
 
 fn scale() -> ExperimentScale {
     ExperimentScale::quick()
 }
 
+/// The quick-scale table every `mix_avg` call shares, so each distinct
+/// simulation runs once per test binary.
+static RUNS: Mutex<Option<Runs>> = Mutex::new(None);
+
 fn mix_avg(contexts: usize, mix: &str, s: StructureId) -> f64 {
-    let runs: Vec<SimResult> = table2()
+    let keys: Vec<_> = table2()
         .into_iter()
         .filter(|w| w.contexts == contexts && w.mix.to_string() == mix)
-        .map(|w| run_workload(&w, FetchPolicyKind::Icount, scale().budget(contexts)))
-        .collect::<Result<_, _>>()
+        .map(|w| policy_key(&w, FetchPolicyKind::Icount, scale()))
+        .collect();
+    let runs = RUNS
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .get_or_insert_with(|| Runs::new(scale()))
+        .results(&keys)
         .unwrap();
     runs.iter().map(|r| r.report.structure(s).avf).sum::<f64>() / runs.len() as f64
 }
