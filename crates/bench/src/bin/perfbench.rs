@@ -65,7 +65,7 @@ use sim_inject::{
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
 use sim_workload::{table2, SmtWorkload};
-use smt_avf::experiments::campaign::default_campaign;
+use smt_avf::experiments::campaign::{campaign_factory, default_campaign};
 use smt_avf::experiments::{policy_key, Runs};
 use smt_avf::runner::workload_generators;
 use smt_avf::ExperimentScale;
@@ -183,27 +183,19 @@ fn sfi_wallclock(trials: usize) -> (f64, f64, usize) {
         .into_iter()
         .find(|w| w.name == "2T-MIX-A")
         .expect("bundled workload");
-    let cfg = MachineConfig::ispass07_baseline()
-        .with_contexts(w.contexts)
-        .with_fetch_policy(FetchPolicyKind::Icount);
-    let factory = || {
-        SmtCore::new(
-            cfg.clone(),
-            workload_generators(&w).expect("bundled workload"),
-        )
-    };
+    let factory = campaign_factory(&w).expect("bundled workload");
     let mut cc = default_campaign(&w, trials, 12, ExperimentScale::quick());
     cc.workers = 1;
     // Scalar trials on both sides: this section times checkpointing alone;
     // the `lanes` section times the lane engine.
     cc.path = TrialPath::ReplayFromZero;
     let t0 = Instant::now();
-    let oracle = run_campaign(factory, &cc).expect("oracle campaign");
+    let oracle = run_campaign(&factory, &cc).expect("oracle campaign");
     let oracle_secs = t0.elapsed().as_secs_f64();
 
     cc.path = TrialPath::Scalar;
     let t0 = Instant::now();
-    let checkpointed = run_campaign(factory, &cc).expect("checkpointed campaign");
+    let checkpointed = run_campaign(&factory, &cc).expect("checkpointed campaign");
     let checkpointed_secs = t0.elapsed().as_secs_f64();
 
     assert_eq!(
@@ -224,7 +216,8 @@ fn sfi_wallclock(trials: usize) -> (f64, f64, usize) {
 const LANE_WIDTH: usize = 64;
 
 /// Time the full stored-campaign service path (spec/golden publish,
-/// chunked trials, per-chunk publishes, result assembly, ACE reference)
+/// chunked trials, per-chunk publishes, result assembly with the golden
+/// window's ACE report)
 /// into fresh stores with the metrics registry off vs on, proving the two
 /// stores byte-identical over `objects/` and `refs/` before returning the
 /// `(off_secs, on_secs, p99_chunk_publish_us)` medians. This is the
@@ -235,15 +228,7 @@ fn service_wallclock(trials: usize, reps: usize) -> (f64, f64, u64) {
         .into_iter()
         .find(|w| w.name == "2T-MIX-A")
         .expect("bundled workload");
-    let cfg = MachineConfig::ispass07_baseline()
-        .with_contexts(w.contexts)
-        .with_fetch_policy(FetchPolicyKind::Icount);
-    let factory = || {
-        SmtCore::new(
-            cfg.clone(),
-            workload_generators(&w).expect("bundled workload"),
-        )
-    };
+    let factory = campaign_factory(&w).expect("bundled workload");
     let mut cc = default_campaign(&w, trials, 12, ExperimentScale::quick());
     cc.workers = 1;
     let spec = sim_store::JobSpec {
@@ -259,12 +244,7 @@ fn service_wallclock(trials: usize, reps: usize) -> (f64, f64, u64) {
         sim_trace::metrics::set_enabled(metrics_on);
         let store = sim_store::Store::open(dir).expect("open bench store");
         let t0 = Instant::now();
-        sim_store::run_campaign_stored(&store, &spec, &factory, || {
-            smt_avf::runner::run_workload_on(&cfg, &w, spec.cfg.budget)
-                .map(|r| r.report)
-                .map_err(|e| e.to_string())
-        })
-        .expect("stored campaign");
+        sim_store::run_campaign_stored(&store, &spec, &factory).expect("stored campaign");
         let secs = t0.elapsed().as_secs_f64();
         sim_trace::metrics::set_enabled(false);
         secs
@@ -330,21 +310,13 @@ fn lanes_wallclock(trials: usize) -> (f64, f64, LaneStats) {
         .into_iter()
         .find(|w| w.name == "2T-MIX-A")
         .expect("bundled workload");
-    let cfg = MachineConfig::ispass07_baseline()
-        .with_contexts(w.contexts)
-        .with_fetch_policy(FetchPolicyKind::Icount);
-    let factory = || {
-        SmtCore::new(
-            cfg.clone(),
-            workload_generators(&w).expect("bundled workload"),
-        )
-    };
+    let factory = campaign_factory(&w).expect("bundled workload");
     let mut cc = default_campaign(&w, trials, 12, ExperimentScale::quick());
     cc.workers = 1;
 
     cc.path = TrialPath::Scalar;
     let t0 = Instant::now();
-    let scalar = run_campaign(factory, &cc).expect("scalar campaign");
+    let scalar = run_campaign(&factory, &cc).expect("scalar campaign");
     let scalar_secs = t0.elapsed().as_secs_f64();
 
     cc.path = TrialPath::Batched { lanes: LANE_WIDTH };

@@ -9,7 +9,8 @@
 //! empirically:
 //!
 //! 1. Run an uninjected **golden** simulation, recording the retired
-//!    instruction stream of the measurement window.
+//!    instruction stream of the measurement window and its ACE report
+//!    (the estimate the campaign is compared against).
 //! 2. For each trial, pick a `(structure, entry, bit, cycle)` uniformly at
 //!    random, replay the simulation to that cycle, flip the bit via
 //!    [`SmtCore::inject_fault`], and run the perturbed simulation to the
@@ -58,7 +59,7 @@
 //! as [`TrialPath::ReplayFromZero`], the oracle the equivalence tests
 //! (and perfbench baseline timing) run against.
 
-use avf_core::{SfiPoint, StructureId};
+use avf_core::{AvfReport, SfiPoint, StructureId};
 use sim_model::rng::splitmix64;
 use sim_model::{MachineConfig, SimRng};
 pub use sim_pipeline::{target_entries, Fault, FaultTarget, Landing, RetiredInst};
@@ -469,6 +470,9 @@ pub struct CampaignResult {
     pub window: (u64, u64),
     /// Per-structure tallies.
     pub per_target: Vec<TargetSummary>,
+    /// The ACE report over the same window (see
+    /// [`PreparedCampaign::ace_report`]).
+    pub ace: AvfReport,
 }
 
 impl CampaignResult {
@@ -507,16 +511,18 @@ where
     S: InstSource,
     F: Fn() -> SmtCore<S>,
 {
-    run_window(warmed_core(factory, budget), budget)
+    run_window(warmed_core(factory, budget), budget).map(|(golden, _)| golden)
 }
 
 /// Step `core`, fresh from [`warmed_core`], through the measurement
 /// window to the commit target and return the window with its retired
-/// streams.
+/// streams, plus the window's ACE report. The core steps exactly as
+/// [`SmtCore::run`] does over the same budget, so the report is the one
+/// an uninjected reference run of that budget produces.
 fn run_window<S: InstSource>(
     mut core: SmtCore<S>,
     budget: SimBudget,
-) -> Result<GoldenRun, InjectError> {
+) -> Result<(GoldenRun, AvfReport), InjectError> {
     let contexts = core.config().contexts;
     let start = core.cycle();
     let target_committed = core.total_committed() + budget.total_instructions;
@@ -537,12 +543,13 @@ fn run_window<S: InstSource>(
     for r in core.take_commit_log().expect("log was enabled") {
         per_thread[r.thread as usize].push(r);
     }
-    Ok(GoldenRun {
+    let golden = GoldenRun {
         start,
         end,
         target_committed,
         per_thread,
-    })
+    };
+    Ok((golden, core.into_result().report))
 }
 
 /// The golden reference plus the machine snapshots trials restore from.
@@ -658,10 +665,12 @@ impl<S: InstSource + Clone> CheckpointedGolden<S> {
 
 /// Run the golden simulation and plan `k` snapshots across its
 /// measurement window: one at the window start (so no trial ever replays
-/// warmup) and the rest evenly spaced.
+/// warmup) and the rest evenly spaced. Returns them with the window's ACE
+/// report.
 ///
 /// Warm-up runs once. A clone of the warmed core steps the window to
-/// discover `[start, end)` and the retired streams. The warmed core
+/// discover `[start, end)`, the retired streams and the window's ACE
+/// report (only that clone is finalized). The warmed core
 /// itself — the window-start snapshot, so bit-identical to that pass
 /// because a clone steps exactly like its original — becomes the capture
 /// core. Only the window-start snapshot is captured here; the capture
@@ -671,13 +680,13 @@ pub fn run_golden_checkpointed<S, F>(
     factory: &F,
     budget: SimBudget,
     k: usize,
-) -> Result<CheckpointedGolden<S>, InjectError>
+) -> Result<(CheckpointedGolden<S>, AvfReport), InjectError>
 where
     S: InstSource + Clone,
     F: Fn() -> SmtCore<S>,
 {
     let core = warmed_core(factory, budget);
-    let golden = run_window(core.clone(), budget)?;
+    let (golden, ace) = run_window(core.clone(), budget)?;
     let span = golden.end - golden.start;
     // At most one checkpoint per window cycle: with `k` ≤ span the planned
     // cycles are distinct, and a larger `k` would only repeat them.
@@ -694,7 +703,7 @@ where
         })),
     };
     checkpointed.slot(0);
-    Ok(checkpointed)
+    Ok((checkpointed, ace))
 }
 
 /// Replay the simulation from cycle 0 to `inject_cycle`, apply `fault`,
@@ -983,7 +992,8 @@ where
 
 /// A campaign whose golden state has been externalized: the golden
 /// reference (checkpointed unless the oracle path was requested), the
-/// machine configuration, and the sampling spaces. Every trial is a pure
+/// machine configuration, the sampling spaces, and the golden window's
+/// ACE report. Every trial is a pure
 /// function of this prepared state and its global index, so any subset —
 /// a chunk, a worker process's shard, the unfinished remainder of a
 /// crashed run — can execute anywhere, in any order, and merge by index
@@ -995,6 +1005,7 @@ pub struct PreparedCampaign<S> {
     machine: MachineConfig,
     checkpointed: Option<CheckpointedGolden<S>>,
     plain_golden: Option<GoldenRun>,
+    ace: AvfReport,
 }
 
 impl<S: InstSource + Clone> PreparedCampaign<S> {
@@ -1011,11 +1022,14 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
             return Err(InjectError::ZeroTrials);
         }
         let factory = configured_factory(factory, cfg.path);
-        let (checkpointed, plain_golden) = match cfg.path {
-            TrialPath::ReplayFromZero => (None, Some(run_golden(&factory, cfg.budget)?)),
+        let (checkpointed, plain_golden, ace) = match cfg.path {
+            TrialPath::ReplayFromZero => {
+                let (golden, ace) = run_window(warmed_core(&factory, cfg.budget), cfg.budget)?;
+                (None, Some(golden), ace)
+            }
             _ => {
-                let c = run_golden_checkpointed(&factory, cfg.budget, cfg.checkpoints)?;
-                (Some(c), None)
+                let (c, ace) = run_golden_checkpointed(&factory, cfg.budget, cfg.checkpoints)?;
+                (Some(c), None, ace)
             }
         };
         let machine = factory().config().clone();
@@ -1024,6 +1038,7 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
             machine,
             checkpointed,
             plain_golden,
+            ace,
         })
     }
 
@@ -1044,6 +1059,13 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
             .map(|c| &c.golden)
             .or(self.plain_golden.as_ref())
             .expect("one golden path ran")
+    }
+
+    /// The ACE report of the golden measurement window: the report an
+    /// uninjected reference run of the campaign's budget produces, so the
+    /// SFI-vs-ACE comparison needs no second simulation.
+    pub fn ace_report(&self) -> &AvfReport {
+        &self.ace
     }
 
     /// Total trials across all targets (`targets × trials_per_structure`).
@@ -1805,6 +1827,7 @@ where
         records,
         window: (golden.start, golden.end),
         per_target,
+        ace: prepared.ace_report().clone(),
     })
 }
 

@@ -77,7 +77,7 @@ fn every_checkpoint_restores_to_the_oracle_outcome() {
     // checkpoint (not just the frequently-sampled ones) is exercised: walk
     // cycles spanning all K segments with a fixed fault.
     let k = 6;
-    let checkpointed =
+    let (checkpointed, _) =
         run_golden_checkpointed(&factory, budget(), k).expect("checkpointed golden runs");
     let golden = run_golden(&factory, budget()).expect("golden runs");
     assert_eq!(golden.start, checkpointed.golden.start);
@@ -175,7 +175,7 @@ fn snapshots_are_log_free_and_prepare_captures_only_the_window_start() {
         1,
         "prepare captures checkpoint 0 only"
     );
-    let direct = run_golden_checkpointed(&factory, budget(), k).expect("golden runs");
+    let (direct, _) = run_golden_checkpointed(&factory, budget(), k).expect("golden runs");
     assert_eq!(direct.filled_checkpoints(), 1);
 
     let empty: &[RetiredInst] = &[];
@@ -227,7 +227,7 @@ fn pool_captured_snapshots_match_the_two_pass_reference_at_2_and_4_workers() {
 #[test]
 fn concurrent_trials_capture_on_demand_and_match_the_oracle() {
     let k = 6;
-    let checkpointed =
+    let (checkpointed, _) =
         run_golden_checkpointed(&factory, budget(), k).expect("checkpointed golden runs");
     let golden = run_golden(&factory, budget()).expect("golden runs");
     let fault = Fault {
@@ -270,7 +270,7 @@ fn concurrent_trials_capture_on_demand_and_match_the_oracle() {
 
 #[test]
 fn checkpointed_trials_reject_out_of_window_cycles_like_the_oracle() {
-    let checkpointed =
+    let (checkpointed, _) =
         run_golden_checkpointed(&factory, budget(), 4).expect("checkpointed golden runs");
     let fault = Fault {
         target: FaultTarget::Iq,
@@ -293,7 +293,7 @@ fn checkpointed_trials_reject_out_of_window_cycles_like_the_oracle() {
 fn a_single_checkpoint_still_covers_the_whole_window() {
     // K = 1 degenerates to "one snapshot at window start" — strictly the
     // old replay minus warmup. It must still be exact.
-    let checkpointed =
+    let (checkpointed, _) =
         run_golden_checkpointed(&factory, budget(), 1).expect("checkpointed golden runs");
     assert_eq!(
         checkpointed.checkpoint_cycles(),
@@ -377,7 +377,7 @@ fn single_warmup_capture_matches_the_two_pass_reference() {
         for (budget, k) in [(budget(), 1), (budget(), 12), (tiny, window + 5)] {
             let label = format!("{policy:?}, K = {k}");
             let reference = two_pass_capture(&factory, budget, k);
-            let captured =
+            let (captured, _) =
                 run_golden_checkpointed(&factory, budget, k as usize).expect("golden runs");
             let snapshots: Vec<CoreSnapshot> = captured
                 .snapshots()

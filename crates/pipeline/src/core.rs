@@ -401,6 +401,15 @@ impl<S: InstSource> SmtCore<S> {
         self.finish()
     }
 
+    /// Close out a core that was stepped to its budget by hand and produce
+    /// the report [`run`](SmtCore::run) would have: the fault-injection
+    /// golden pass reads its window's ACE report this way. Consumes the
+    /// core, because finalization banks every live interval and the
+    /// machine cannot step on after it.
+    pub fn into_result(mut self) -> SimResult {
+        self.finish()
+    }
+
     fn measured_base_total(&self) -> u64 {
         self.measure_committed0.iter().sum()
     }

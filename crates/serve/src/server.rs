@@ -10,22 +10,19 @@
 //! finishes with byte-identical results.
 
 use crate::protocol::{read_frame, write_frame, WorkerChunk, WorkerReady, WorkerTask};
-use avf_core::AvfReport;
 use sim_inject::PreparedCampaign;
-use sim_model::{FetchPolicyKind, MachineConfig};
-use sim_pipeline::SmtCore;
 use sim_store::{
     assemble_result, decode_record, encode_record, load_chunk, load_result, maybe_crash_after,
     plan_chunks, prepare_stored, run_chunk, store_chunk, ChunkPlan, ChunkRecord, GoldenFingerprint,
     JobResultRecord, JobSpec, ObjectId, Store, StoredOutcome,
 };
 use sim_trace::metrics::{self, micros_since};
-use sim_workload::{table2, SmtWorkload, TraceGenerator};
-use smt_avf::runner::{run_workload_on, workload_generators};
+use sim_workload::{table2, SmtWorkload};
+use smt_avf::experiments::campaign::campaign_factory;
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -45,30 +42,6 @@ pub fn resolve_workload(name: &str) -> Result<SmtWorkload, String> {
                     .join(", ")
             )
         })
-}
-
-/// The machine every campaign job runs on: the Table 1 baseline under
-/// ICOUNT, sized for the workload — the same configuration the ACE
-/// experiments and `validate_avf` use, so stored results are comparable.
-pub fn machine_for(workload: &SmtWorkload) -> MachineConfig {
-    MachineConfig::ispass07_baseline()
-        .with_contexts(workload.contexts)
-        .with_fetch_policy(FetchPolicyKind::Icount)
-}
-
-/// Build the deterministic core factory for `workload` (profiles resolved
-/// up front so the returned closure cannot fail).
-pub fn factory_for(
-    workload: &SmtWorkload,
-) -> Result<impl Fn() -> SmtCore<TraceGenerator> + Sync + '_, String> {
-    workload_generators(workload).map_err(|e| e.to_string())?;
-    let cfg = machine_for(workload);
-    Ok(move || {
-        SmtCore::new(
-            cfg.clone(),
-            workload_generators(workload).expect("profiles resolved above"),
-        )
-    })
 }
 
 /// How a finished job is reported.
@@ -124,39 +97,40 @@ pub fn run_job(store_dir: &Path, spec: &JobSpec, worker_procs: usize) -> Result<
     })
 }
 
-/// The ACE reference closure for `spec`: the uninjected run whose report
-/// is published with the job result.
-fn ace_for<'a>(
-    workload: &'a SmtWorkload,
-    spec: &'a JobSpec,
-) -> impl FnOnce() -> Result<AvfReport, String> + 'a {
-    move || {
-        run_workload_on(&machine_for(workload), workload, spec.cfg.budget)
-            .map(|r| r.report)
-            .map_err(|e| e.to_string())
-    }
-}
-
 fn run_in_process(
     store: &Store,
     spec: &JobSpec,
     workload: &SmtWorkload,
 ) -> Result<StoredOutcome, String> {
-    let factory = factory_for(workload)?;
-    sim_store::run_campaign_stored(store, spec, &factory, ace_for(workload, spec))
-        .map_err(|e| e.to_string())
+    let factory = campaign_factory(workload).map_err(|e| e.to_string())?;
+    sim_store::run_campaign_stored(store, spec, &factory).map_err(|e| e.to_string())
 }
 
-/// One spawned worker process and its protocol streams.
+/// A worker process that is killed and reaped when dropped, so no worker
+/// outlives the job that spawned it, however the job ends. Kill comes
+/// before wait: a worker may be blocked writing a greeting that nobody
+/// will read.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        // Both are no-ops on a child already waited for.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// One spawned worker process and its protocol streams. The process is
+/// the first field, so it is killed before its pipes close.
 struct Worker {
-    child: Child,
-    stdin: BufWriter<std::process::ChildStdin>,
-    stdout: BufReader<std::process::ChildStdout>,
+    child: Reaped,
+    stdin: BufWriter<ChildStdin>,
+    stdout: BufReader<ChildStdout>,
 }
 
 fn spawn_worker(spec: &JobSpec) -> Result<Worker, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut child = Command::new(&exe)
+    let child = Command::new(&exe)
         .arg("worker")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -165,11 +139,12 @@ fn spawn_worker(spec: &JobSpec) -> Result<Worker, String> {
         .env_remove("SIM_STORE_CRASH_AFTER_CHUNKS")
         .spawn()
         .map_err(|e| format!("spawning {}: {e}", exe.display()))?;
+    let mut child = Reaped(child);
     if metrics::enabled() {
         metrics::global().counter("serve.worker.spawns").inc();
     }
-    let mut stdin = BufWriter::new(child.stdin.take().expect("piped"));
-    let stdout = BufReader::new(child.stdout.take().expect("piped"));
+    let mut stdin = BufWriter::new(child.0.stdin.take().expect("piped"));
+    let stdout = BufReader::new(child.0.stdout.take().expect("piped"));
     write_frame(&mut stdin, spec).map_err(|e| format!("sending spec to worker: {e}"))?;
     Ok(Worker {
         child,
@@ -201,14 +176,7 @@ fn run_sharded(
         });
     }
 
-    // The parent prepares its own golden: it owns fingerprint
-    // verification against the store and must not trust workers for it.
-    let factory = factory_for(workload)?;
-    let (job, prepared): (ObjectId, PreparedCampaign<TraceGenerator>) =
-        prepare_stored(store, spec, &factory).map_err(|e| e.to_string())?;
-    let expected = encode_record(&GoldenFingerprint::of(&prepared));
-
-    let plans = plan_chunks(prepared.total_trials(), spec.chunk_trials);
+    let plans = plan_chunks(spec.total_trials(), spec.chunk_trials);
     let mut missing = VecDeque::new();
     let mut resumed = 0usize;
     for &plan in &plans {
@@ -218,16 +186,27 @@ fn run_sharded(
         }
     }
 
-    let total = plans.len();
-    let procs = worker_procs.min(missing.len().max(1));
-    let queue: Mutex<VecDeque<ChunkPlan>> = Mutex::new(missing);
-    let done = AtomicUsize::new(resumed);
-    let computed = AtomicUsize::new(0);
-
+    // Workers start before the parent's golden pass, so every process
+    // builds its golden at once. A resume with every chunk published
+    // spawns none. From here on, an early return drops `workers`, which
+    // kills and reaps each one.
+    let procs = worker_procs.min(missing.len());
     let mut workers = Vec::with_capacity(procs);
     for _ in 0..procs {
         workers.push(spawn_worker(spec)?);
     }
+
+    // The parent prepares its own golden: it owns fingerprint
+    // verification against the store, verifies every worker's greeting
+    // against it, and supplies the result's ACE report.
+    let factory = campaign_factory(workload).map_err(|e| e.to_string())?;
+    let (_, prepared) = prepare_stored(store, spec, &factory).map_err(|e| e.to_string())?;
+    let expected = encode_record(&GoldenFingerprint::of(&prepared));
+
+    let total = plans.len();
+    let queue: Mutex<VecDeque<ChunkPlan>> = Mutex::new(missing);
+    let done = AtomicUsize::new(resumed);
+    let computed = AtomicUsize::new(0);
 
     std::thread::scope(|scope| -> Result<(), String> {
         let mut handles = Vec::with_capacity(workers.len());
@@ -292,6 +271,7 @@ fn run_sharded(
                 drop(worker.stdin);
                 let status = worker
                     .child
+                    .0
                     .wait()
                     .map_err(|e| format!("worker {wi}: {e}"))?;
                 if !status.success() {
@@ -321,8 +301,8 @@ fn run_sharded(
             None => return Err(format!("chunk {} missing after shard run", plan.index)),
         }
     }
-    let result = assemble_result(store, &job, spec, chunks, ace_for(workload, spec))
-        .map_err(|e| e.to_string())?;
+    let report = prepared.ace_report().clone();
+    let result = assemble_result(store, &job, spec, chunks, report).map_err(|e| e.to_string())?;
     Ok(StoredOutcome {
         result,
         resumed_chunks: resumed,
@@ -339,7 +319,7 @@ pub fn worker_main() -> Result<(), String> {
         .map_err(|e| format!("reading job spec: {e}"))?
         .ok_or("parent closed the pipe before sending a job spec")?;
     let workload = resolve_workload(&spec.workload)?;
-    let factory = factory_for(&workload)?;
+    let factory = campaign_factory(&workload).map_err(|e| e.to_string())?;
     let prepared = PreparedCampaign::prepare(&factory, &spec.cfg).map_err(|e| e.to_string())?;
     let job = spec.id();
     write_frame(

@@ -503,3 +503,120 @@ fn scalar_runs_in_process_only() {
     );
     assert_eq!(result_bytes(&scalar), result_bytes(&batched));
 }
+
+/// The metrics snapshot a submit wrote into `store`, as counters.
+fn submit_counters(store: &Path) -> std::collections::BTreeMap<String, u64> {
+    let snap = store.join("metrics").join("submit.json");
+    snapshot_counters(&std::fs::read_to_string(&snap).expect("submit writes a snapshot"))
+}
+
+#[test]
+fn resume_with_every_chunk_published_spawns_no_worker() {
+    let clean = fresh_dir("all-published-clean");
+    assert!(submit(&clean, &[], 1).status.success());
+    let reference = object_and_ref_bytes(&clean);
+
+    // In process, crash right after the last of the job's three chunks is
+    // published: every chunk is in the store, the result is not.
+    let dir = fresh_dir("all-published");
+    let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "3")], 1);
+    assert!(!out.status.success(), "crash hook must fire");
+    let out = submit(&dir, &[], 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("3 chunks resumed, 0 computed"), "{stderr}");
+    let counters = submit_counters(&dir);
+    assert_eq!(counters.get("serve.jobs"), Some(&1), "{counters:?}");
+    assert_eq!(
+        counters.get("serve.worker.spawns").copied().unwrap_or(0),
+        0,
+        "nothing left to shard: no worker may be spawned"
+    );
+    assert_eq!(object_and_ref_bytes(&dir), reference);
+}
+
+#[test]
+fn a_fresh_sharded_job_spawns_one_worker_per_process() {
+    let dir = fresh_dir("spawns");
+    let out = submit(&dir, &[], 2);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        submit_counters(&dir).get("serve.worker.spawns"),
+        Some(&2),
+        "three chunks, two worker processes"
+    );
+}
+
+/// Pids of live processes whose environment holds `var` (Linux `/proc`).
+#[cfg(target_os = "linux")]
+fn processes_with_env(var: &str) -> Vec<u32> {
+    let Ok(entries) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    entries
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| {
+            std::fs::read(format!("/proc/{pid}/environ"))
+                .is_ok_and(|env| env.split(|&b| b == 0).any(|kv| kv == var.as_bytes()))
+        })
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn golden_divergence_fails_the_sharded_job_and_reaps_every_worker() {
+    use sim_store::{campaign::golden_ref, decode_record, GoldenFingerprint, JobSpec};
+
+    // Leave a published golden fingerprint behind, then tamper with it.
+    let dir = fresh_dir("diverge");
+    let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "1")], 1);
+    assert!(!out.status.success(), "crash hook must fire");
+    let store = Store::open(&dir).unwrap();
+    let refs = store.refs("jobs/").unwrap();
+    let (_, spec_id) = refs.iter().find(|(n, _)| n.ends_with("/spec")).unwrap();
+    let spec: JobSpec = decode_record(&store.get(spec_id).unwrap()).unwrap();
+    let golden = golden_ref(&spec.id());
+    let id = store.get_ref(&golden).unwrap().expect("golden published");
+    let mut fingerprint: GoldenFingerprint = decode_record(&store.get(&id).unwrap()).unwrap();
+    fingerprint.checkpoints[0].digest ^= 1;
+    let tampered = store.put(&encode_record(&fingerprint)).unwrap();
+    store.set_ref(&golden, &tampered).unwrap();
+    drop(store);
+
+    // The workers start before the parent's golden pass and inherit this
+    // marker; the parent must fail closed and leave none of them running.
+    let marker = format!("SIM_SERVE_TEST_WORKER_TAG=diverge-{}", std::process::id());
+    let (key, value) = marker.split_once('=').unwrap();
+    let mut cmd = submit_cmd(&dir);
+    cmd.args(["--worker-procs", "2"]).env(key, value);
+    let mut child = cmd
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn sim-serve");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("a diverged sharded submit must exit promptly");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success(), "divergence must fail the job");
+    assert!(stderr.contains("golden divergence"), "{stderr}");
+    assert_eq!(
+        processes_with_env(&marker),
+        Vec::<u32>::new(),
+        "worker processes outlived the failed job"
+    );
+}

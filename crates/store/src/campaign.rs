@@ -246,8 +246,6 @@ pub enum CampaignStoreError {
     /// Stored state contradicts the job being resumed (wrong job id,
     /// golden divergence, chunk shape mismatch). Always fatal.
     Diverged(String),
-    /// The ACE reference run failed.
-    Ace(String),
 }
 
 impl fmt::Display for CampaignStoreError {
@@ -257,7 +255,6 @@ impl fmt::Display for CampaignStoreError {
             CampaignStoreError::Codec(e) => write!(f, "stored record: {e}"),
             CampaignStoreError::Inject(e) => write!(f, "campaign: {e}"),
             CampaignStoreError::Diverged(s) => write!(f, "refusing to resume: {s}"),
-            CampaignStoreError::Ace(s) => write!(f, "ACE reference run: {s}"),
         }
     }
 }
@@ -393,23 +390,21 @@ where
 }
 
 /// Run `spec` against `store`: resume from published chunks, compute and
-/// publish the missing ones, then assemble, summarize, attach the ACE
-/// reference report from `ace`, and publish the result.
+/// publish the missing ones, then assemble, summarize, attach the golden
+/// window's ACE report, and publish the result.
 ///
 /// Holds the store's writer lock for the duration. Idempotent: if the
 /// result is already published it is returned as-is (after validating it
 /// belongs to this job), and a rerun after any interruption produces
 /// byte-identical records.
-pub fn run_campaign_stored<S, F, A>(
+pub fn run_campaign_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
     factory: &F,
-    ace: A,
 ) -> Result<StoredOutcome, CampaignStoreError>
 where
     S: InstSource + Clone + Send + Sync,
     F: Fn() -> SmtCore<S> + Sync,
-    A: FnOnce() -> Result<AvfReport, String>,
 {
     let job = spec.id();
     if let Some(done) = load_result(store, &job)? {
@@ -455,7 +450,7 @@ where
         };
         chunks.push(chunk);
     }
-    let result = assemble_result(store, &job, spec, chunks, ace)?;
+    let result = assemble_result(store, &job, spec, chunks, prepared.ace_report().clone())?;
     Ok(StoredOutcome {
         result,
         resumed_chunks: resumed,
@@ -492,18 +487,16 @@ where
         .collect()
 }
 
-/// Assemble validated `chunks` into the job's final record, attach the
-/// ACE report, publish, and return it.
-pub fn assemble_result<A>(
+/// Assemble validated `chunks` into the job's final record, attach
+/// `report` — the prepared golden window's ACE report
+/// ([`PreparedCampaign::ace_report`]) — publish, and return it.
+pub fn assemble_result(
     store: &Store,
     job: &ObjectId,
     spec: &JobSpec,
     chunks: Vec<ChunkRecord>,
-    ace: A,
-) -> Result<JobResultRecord, CampaignStoreError>
-where
-    A: FnOnce() -> Result<AvfReport, String>,
-{
+    report: AvfReport,
+) -> Result<JobResultRecord, CampaignStoreError> {
     let mut records = Vec::with_capacity(spec.total_trials());
     for chunk in &chunks {
         if chunk.start != records.len() {
@@ -517,7 +510,6 @@ where
         records.extend_from_slice(&chunk.records);
     }
     let per_target = summarize(&spec.cfg.targets, spec.cfg.trials_per_structure, &records);
-    let report = ace().map_err(CampaignStoreError::Ace)?;
     let result = JobResultRecord {
         job: *job,
         records,

@@ -10,6 +10,12 @@
 #      the published chunk, and finish.
 #   4. Stores A and B must be byte-identical (objects AND refs): a kill
 #      -9 changed nothing about the final bytes.
+#   4a. A --worker-procs 2 submit into store G must be byte-identical to
+#      store A too: sharding changes nothing about the bytes.
+#   4b. Crash an in-process submit into store H right after its last
+#      chunk is published, then resubmit with --worker-procs 2: the
+#      resume only assembles, spawns no worker, and store H is
+#      byte-identical to store A.
 #   5. validate_avf --store must agree with the plain serial
 #      validate_avf on the rendered comparison table, and --resume must
 #      reuse the store. The stored run is the scalar oracle (--scalar).
@@ -37,7 +43,7 @@ VALIDATE=(cargo run --release -q --bin validate_avf --
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 A="$work/store-a" B="$work/store-b" C="$work/store-c" D="$work/store-d"
-E="$work/store-e" F="$work/store-f"
+E="$work/store-e" F="$work/store-f" G="$work/store-g" H="$work/store-h"
 
 echo "==> service smoke: clean reference submit"
 "${SERVE[@]}" "${SUBMIT[@]}" --store "$A"
@@ -55,6 +61,36 @@ echo "==> service smoke: resume after crash"
 echo "==> service smoke: killed+resumed store is byte-identical to clean"
 diff -r "$A/objects" "$B/objects"
 diff -r "$A/refs" "$B/refs"
+
+echo "==> service smoke: sharded submit is byte-identical to in-process"
+"${SERVE[@]}" "${SUBMIT[@]}" --worker-procs 2 --store "$G"
+diff -r "$A/objects" "$G/objects"
+diff -r "$A/refs" "$G/refs"
+grep -q '"serve.worker.spawns": {"type": "counter", "value": 2}' \
+    "$G/metrics/submit.json" || {
+  echo "a fresh sharded job should spawn 2 workers" >&2
+  exit 1
+}
+
+echo "==> service smoke: sharded resume with every chunk published"
+# 8 trials in chunks of 3: the crash hook fires after the third and last.
+if SIM_STORE_CRASH_AFTER_CHUNKS=3 "${SERVE[@]}" "${SUBMIT[@]}" --store "$H"; then
+  echo "crash hook did not fire" >&2
+  exit 1
+fi
+"${SERVE[@]}" "${SUBMIT[@]}" --worker-procs 2 --store "$H" 2> "$work/resume-h.txt"
+grep -q '3 chunks resumed, 0 computed' "$work/resume-h.txt" || {
+  cat "$work/resume-h.txt" >&2
+  echo "the resume should only assemble" >&2
+  exit 1
+}
+if grep -q '"serve.worker.spawns": {"type": "counter", "value": [1-9]' \
+    "$H/metrics/submit.json"; then
+  echo "a resume with nothing left to shard spawned a worker" >&2
+  exit 1
+fi
+diff -r "$A/objects" "$H/objects"
+diff -r "$A/refs" "$H/refs"
 
 echo "==> service smoke: validate_avf --store matches plain serial run"
 "${VALIDATE[@]}" > "$work/serial.txt"

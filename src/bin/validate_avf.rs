@@ -289,7 +289,7 @@ fn main() -> ExitCode {
     let (start, end) = v.campaign.window;
     println!(
         "golden window: cycles [{start}, {end}), {} instructions committed\n",
-        v.ace.report.total_committed()
+        v.ace.total_committed()
     );
     print!("{}", v.render());
     let masked: u64 = v.campaign.per_target.iter().map(|t| t.masked).sum();

@@ -8,12 +8,12 @@
 //! above the SFI estimate's lower confidence bound. A `VIOLATED` row in
 //! the rendered table means the ACE model under-counted somewhere.
 
-use crate::runner::{run_workload_on, workload_generators, RunError};
+use crate::runner::{workload_generators, RunError};
 use crate::scale::ExperimentScale;
-use avf_core::{compare, ComparisonRow};
+use avf_core::{compare, AvfReport, ComparisonRow};
 use sim_inject::{run_campaign, CampaignConfig, CampaignResult, InjectError};
 use sim_model::{FetchPolicyKind, MachineConfig};
-use sim_pipeline::{SimResult, SmtCore};
+use sim_pipeline::SmtCore;
 use sim_store::{decode_record, GoldenFingerprint, JobSpec, Store, DEFAULT_CHUNK_TRIALS};
 use sim_workload::SmtWorkload;
 use std::path::Path;
@@ -21,7 +21,7 @@ use std::path::Path;
 /// An error raised while cross-validating a workload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValidationError {
-    /// The reference (ACE) simulation could not be prepared.
+    /// The workload's cores could not be built (an unknown program).
     Run(RunError),
     /// The fault-injection campaign failed.
     Inject(InjectError),
@@ -33,7 +33,7 @@ pub enum ValidationError {
 impl std::fmt::Display for ValidationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ValidationError::Run(e) => write!(f, "reference run failed: {e}"),
+            ValidationError::Run(e) => write!(f, "workload: {e}"),
             ValidationError::Inject(e) => write!(f, "injection campaign failed: {e}"),
             ValidationError::Store(e) => write!(f, "campaign store: {e}"),
         }
@@ -54,14 +54,15 @@ impl From<InjectError> for ValidationError {
     }
 }
 
-/// The outcome of one cross-validation: the ACE reference run, the
-/// campaign, and the paired comparison rows.
+/// The outcome of one cross-validation: the ACE report, the campaign,
+/// and the paired comparison rows.
 #[derive(Debug)]
 pub struct SfiValidation {
     /// The validated workload.
     pub workload: SmtWorkload,
-    /// The uninjected reference run whose report carries the ACE AVFs.
-    pub ace: SimResult,
+    /// The ACE AVFs of the campaign's golden window: the report an
+    /// uninjected reference run of the same budget produces.
+    pub ace: AvfReport,
     /// The completed injection campaign.
     pub campaign: CampaignResult,
     /// Per-structure SFI estimate paired with its ACE AVF.
@@ -92,29 +93,36 @@ pub fn default_campaign(
     CampaignConfig::new(trials, seed, scale.budget(workload.contexts))
 }
 
-/// Cross-validate one workload under ICOUNT: run the injection campaign
-/// and the ACE reference with the same budget, then pair the estimates.
-pub fn validate_workload(
+/// The core factory every SFI campaign of `workload` runs on, in process
+/// or in a `sim-serve` job: the Table 1 baseline under ICOUNT, sized for
+/// the workload, which is the machine the ACE experiments use. Profiles
+/// are resolved up front, so the returned closure cannot fail.
+pub fn campaign_factory(
     workload: &SmtWorkload,
-    campaign: &CampaignConfig,
-) -> Result<SfiValidation, ValidationError> {
-    // Resolve profiles once up front so the factory below cannot fail.
+) -> Result<impl Fn() -> SmtCore + Sync + '_, RunError> {
     workload_generators(workload)?;
     let cfg = MachineConfig::ispass07_baseline()
         .with_contexts(workload.contexts)
         .with_fetch_policy(FetchPolicyKind::Icount);
-    let factory = || {
+    Ok(move || {
         SmtCore::new(
             cfg.clone(),
             workload_generators(workload).expect("profiles resolved above"),
         )
-    };
-    let result = run_campaign(factory, campaign)?;
-    let ace = run_workload_on(&cfg, workload, campaign.budget)?;
-    let rows = compare(&ace.report, &result.sfi_points());
+    })
+}
+
+/// Cross-validate one workload under ICOUNT: run the injection campaign,
+/// whose golden window is the ACE reference, then pair the estimates.
+pub fn validate_workload(
+    workload: &SmtWorkload,
+    campaign: &CampaignConfig,
+) -> Result<SfiValidation, ValidationError> {
+    let result = run_campaign(campaign_factory(workload)?, campaign)?;
+    let rows = compare(&result.ace, &result.sfi_points());
     Ok(SfiValidation {
         workload: workload.clone(),
-        ace,
+        ace: result.ace.clone(),
         campaign: result,
         rows,
     })
@@ -157,16 +165,7 @@ pub fn validate_workload_stored(
     chunk_trials: usize,
     require_existing: bool,
 ) -> Result<SfiValidation, ValidationError> {
-    workload_generators(workload)?;
-    let cfg = MachineConfig::ispass07_baseline()
-        .with_contexts(workload.contexts)
-        .with_fetch_policy(FetchPolicyKind::Icount);
-    let factory = || {
-        SmtCore::new(
-            cfg.clone(),
-            workload_generators(workload).expect("profiles resolved above"),
-        )
-    };
+    let factory = campaign_factory(workload)?;
     let store = Store::open(store_dir).map_err(|e| ValidationError::Store(e.to_string()))?;
     let spec = stored_job_spec(workload, campaign, chunk_trials);
     let job = spec.id();
@@ -183,9 +182,9 @@ pub fn validate_workload_stored(
             )));
         }
     }
-    let ace = run_workload_on(&cfg, workload, campaign.budget)?;
-    let report = ace.report.clone();
-    let outcome = sim_store::run_campaign_stored(&store, &spec, &factory, move || Ok(report))
+    // The result carries the ACE report: the prepared golden's, or the
+    // stored one when the job had already finished.
+    let outcome = sim_store::run_campaign_stored(&store, &spec, &factory)
         .map_err(|e| ValidationError::Store(e.to_string()))?;
     // The golden window travels in the job's stored fingerprint (published
     // by whichever run prepared the campaign first).
@@ -201,11 +200,12 @@ pub fn validate_workload_stored(
         records: outcome.result.records,
         window: (golden.golden.start, golden.golden.end),
         per_target: outcome.result.per_target,
+        ace: outcome.result.report,
     };
-    let rows = compare(&ace.report, &result.sfi_points());
+    let rows = compare(&result.ace, &result.sfi_points());
     Ok(SfiValidation {
         workload: workload.clone(),
-        ace,
+        ace: result.ace.clone(),
         campaign: result,
         rows,
     })
@@ -233,7 +233,7 @@ mod tests {
         let v = validate_workload(&w, &cc).unwrap();
         assert_eq!(v.rows.len(), 2);
         assert_eq!(v.campaign.records.len(), 8);
-        assert!(v.ace.report.total_committed() > 0);
+        assert!(v.ace.total_committed() > 0);
         let text = v.render();
         assert!(text.contains("IQ") && text.contains("Reg"));
     }
