@@ -43,20 +43,22 @@
 //!
 //! Replaying every trial from cycle 0 costs `O(trials × (warmup +
 //! window/2))` simulated cycles before the first bit is even flipped. The
-//! campaign runner instead plans K snapshots of the golden machine —
-//! one at the window start (skipping warmup replay entirely) and the rest
-//! evenly spaced across the window — taken by deep-cloning [`SmtCore`],
-//! whose state is self-contained (see [`run_golden_checkpointed`]). Only
-//! the window-start snapshot is captured while the campaign is prepared;
-//! each later one is captured the first time a trial needs it, so worker
-//! threads capture while others run trials. A snapshot holds no commit
-//! log, only per-thread counts of the golden retirements before it. A
-//! trial restores the nearest snapshot at or before its injection cycle,
-//! steps only the delta (`≤ window/K` cycles), and diffs its retirements
-//! against the golden streams from those counts on. Because a restored
-//! clone steps bit-identically to the original machine, the trial outcome
-//! is exactly what the replay-from-zero path produces; that path is kept
-//! as [`TrialPath::ReplayFromZero`], the oracle the equivalence tests
+//! campaign runner instead plans up to K snapshots of the golden machine
+//! at committed-instruction milestones — the first at the window start
+//! (skipping warmup replay entirely), the rest after the steps that bring
+//! the window's commit count to `⌊N·i/K⌋` — taken by deep-cloning
+//! [`SmtCore`], whose state is self-contained (see
+//! [`run_golden_checkpointed`]). Because the plan needs no window end,
+//! the one golden pass that finds the window also records the golden
+//! streams, clones every snapshot and closes out the ACE report; nothing
+//! steps the window a second time. A snapshot holds no commit log, only
+//! per-thread counts of the golden retirements before it. A trial
+//! restores the nearest snapshot at or before its injection cycle, steps
+//! only the delta, and diffs its retirements against the golden streams
+//! from those counts on. Because a restored clone steps bit-identically
+//! to the original machine, the trial outcome is exactly what the
+//! replay-from-zero path produces; that path is kept as
+//! [`TrialPath::ReplayFromZero`], the oracle the equivalence tests
 //! (and perfbench baseline timing) run against.
 
 use avf_core::{AvfReport, SfiPoint, StructureId};
@@ -67,7 +69,6 @@ use sim_pipeline::{LaneBatch, SimBudget, SmtCore, Strike};
 use sim_trace::metrics::{self, MetricsRegistry};
 use sim_workload::InstSource;
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::{Mutex, OnceLock};
 
 /// An error preparing or executing a fault-injection campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,9 +218,12 @@ pub struct CampaignConfig {
     pub budget: SimBudget,
     /// Cycles without any commit before a trial is declared hung.
     pub hang_cycles: u64,
-    /// Snapshots captured across the golden window (clamped to at least
-    /// 1 and at most one per window cycle); a trial replays at most
-    /// `window / checkpoints` cycles before injecting. Ignored on
+    /// Snapshots planned across the golden window, at evenly spaced
+    /// committed-instruction milestones (see [`run_golden_checkpointed`]);
+    /// a trial replays from the nearest one before its injection cycle.
+    /// The plan clamps this to `1..=`[`MAX_CHECKPOINTS`] (64) and to the
+    /// budget's `total_instructions`; the stored spec keeps the value as
+    /// given, so the clamp never changes a job's identity. Ignored on
     /// [`TrialPath::ReplayFromZero`].
     pub checkpoints: usize,
     /// Print a heartbeat progress line to stderr as trials complete
@@ -511,22 +515,60 @@ where
     S: InstSource,
     F: Fn() -> SmtCore<S>,
 {
-    run_window(warmed_core(factory, budget), budget).map(|(golden, _)| golden)
+    run_window(warmed_core(factory, budget), budget, 0, |_, _| {}).map(|(golden, _)| golden)
 }
+
+/// The most snapshots a campaign plans, whatever
+/// [`CampaignConfig::checkpoints`] asks for. Each snapshot is a full
+/// machine clone (megabytes at default scale) held for the campaign's
+/// life, so a spec, flag or queued job file cannot size the golden pass's
+/// memory by its checkpoint count.
+pub const MAX_CHECKPOINTS: usize = 64;
 
 /// Step `core`, fresh from [`warmed_core`], through the measurement
 /// window to the commit target and return the window with its retired
 /// streams, plus the window's ACE report. The core steps exactly as
 /// [`SmtCore::run`] does over the same budget, so the report is the one
 /// an uninjected reference run of that budget produces.
+///
+/// With `k > 0` the pass also captures the golden machine at `k` commit
+/// milestones: milestone `i` is `⌊N·i/k⌋` window commits, where
+/// `N = budget.total_instructions`, and the capture follows the step that
+/// first reaches it (milestone 0 is the window start, before any step).
+/// At a capture the commit log moves into the golden streams and starts
+/// over empty, so `capture` sees a log-free machine and its log base: how
+/// many golden retirements of each thread precede it. A step that reaches
+/// several milestones captures once, and a step that reaches the commit
+/// target captures nothing, so every capture has its own cycle in
+/// `[start, end)`.
 fn run_window<S: InstSource>(
     mut core: SmtCore<S>,
     budget: SimBudget,
+    k: u64,
+    mut capture: impl FnMut(&SmtCore<S>, &[usize]),
 ) -> Result<(GoldenRun, AvfReport), InjectError> {
-    let contexts = core.config().contexts;
     let start = core.cycle();
-    let target_committed = core.total_committed() + budget.total_instructions;
+    let base = core.total_committed();
+    let target_committed = base + budget.total_instructions;
+    let milestone = |i: u64| (budget.total_instructions as u128 * i as u128 / k as u128) as u64;
+    let mut per_thread = vec![Vec::new(); core.config().contexts];
+    let drain = |core: &mut SmtCore<S>, per_thread: &mut Vec<Vec<RetiredInst>>| {
+        for r in core.take_commit_log().expect("log was enabled") {
+            per_thread[r.thread as usize].push(r);
+        }
+    };
+    let mut next = 0;
     while core.total_committed() < target_committed && core.cycle() < budget.max_cycles {
+        let done = core.total_committed() - base;
+        if next < k && done >= milestone(next) {
+            drain(&mut core, &mut per_thread);
+            core.enable_commit_log();
+            let log_base: Vec<usize> = per_thread.iter().map(Vec::len).collect();
+            capture(&core, &log_base);
+            while next < k && done >= milestone(next) {
+                next += 1;
+            }
+        }
         core.step_fast_bounded(budget.max_cycles);
     }
     if core.total_committed() < target_committed {
@@ -539,10 +581,7 @@ fn run_window<S: InstSource>(
     if end <= start {
         return Err(InjectError::EmptyWindow);
     }
-    let mut per_thread = vec![Vec::new(); contexts];
-    for r in core.take_commit_log().expect("log was enabled") {
-        per_thread[r.thread as usize].push(r);
-    }
+    drain(&mut core, &mut per_thread);
     let golden = GoldenRun {
         start,
         end,
@@ -564,118 +603,69 @@ fn run_window<S: InstSource>(
 /// log base), and a trial restored from it diffs its retirements against
 /// the golden streams from that offset on.
 ///
-/// Only the window-start snapshot is captured up front. The rest are
-/// captured on demand, in cycle order, by the first caller that needs
-/// one (see [`CheckpointedGolden::snapshots`]); callers on other threads
-/// keep reading the snapshots already captured.
+/// Every snapshot is captured by the one golden pass that finds the
+/// window (see [`run_golden_checkpointed`]), so a `CheckpointedGolden` is
+/// complete when built and read-only after.
 #[derive(Debug)]
 pub struct CheckpointedGolden<S> {
     /// The golden window and retired streams trials are diffed against.
     pub golden: GoldenRun,
-    /// Planned snapshot cycles, ascending; the first is the window start.
-    cycles: Vec<u64>,
-    /// One slot per planned cycle, filled in cycle order.
-    slots: Vec<OnceLock<Snapshot<S>>>,
-    /// The golden machine that fills the next empty slot; `None` once
-    /// every slot is filled.
-    capture: Mutex<Option<Capture<S>>>,
+    /// Snapshots ascending by cycle; the first is at the window start.
+    snapshots: Vec<Snapshot<S>>,
 }
 
 /// One golden snapshot: the machine with an empty commit log, and how
 /// many golden retirements of each thread precede it in the window.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Snapshot<S> {
     core: SmtCore<S>,
     log_base: Vec<usize>,
 }
 
-/// The capture core: the golden machine, stepped forward to each planned
-/// cycle in turn.
-#[derive(Debug)]
-struct Capture<S> {
-    machine: Snapshot<S>,
-    /// The first slot not yet filled.
-    next: usize,
-}
-
-impl<S: InstSource + Clone> Capture<S> {
-    /// Step to `at`, hand the commit log off into the log base, and clone.
-    fn snapshot_at(&mut self, at: u64) -> Snapshot<S> {
-        let Snapshot { core, log_base } = &mut self.machine;
-        // The clamp makes a clock jump land on the snapshot cycle exactly.
-        while core.cycle() < at {
-            core.step_fast_bounded(at);
-        }
-        for r in core.take_commit_log().expect("log was enabled") {
-            log_base[r.thread as usize] += 1;
-        }
-        core.enable_commit_log();
-        self.machine.clone()
-    }
-}
-
-impl<S: InstSource + Clone> CheckpointedGolden<S> {
-    /// Cycles at which snapshots are (or will be) captured, sorted
-    /// ascending; the first is the window start.
+impl<S: InstSource> CheckpointedGolden<S> {
+    /// Cycles at which snapshots were captured, sorted ascending; the
+    /// first is the window start.
     pub fn checkpoint_cycles(&self) -> Vec<u64> {
-        self.cycles.clone()
+        self.snapshots.iter().map(|s| s.core.cycle()).collect()
     }
 
     /// The `(cycle, machine)` snapshots, ascending by cycle — read-only
     /// access for fingerprinting (the campaign store digests each
-    /// snapshot to fail closed on resume divergence). Iterating captures
-    /// every snapshot not yet captured.
+    /// snapshot to fail closed on resume divergence).
     pub fn snapshots(&self) -> impl Iterator<Item = (u64, &SmtCore<S>)> {
-        (0..self.cycles.len()).map(|i| (self.cycles[i], &self.slot(i).core))
+        self.snapshots.iter().map(|s| (s.core.cycle(), &s.core))
     }
 
-    /// Snapshots captured so far. Tests read it to show that preparation
-    /// captures only the window-start snapshot.
-    #[doc(hidden)]
-    pub fn filled_checkpoints(&self) -> usize {
-        self.slots.iter().filter(|s| s.get().is_some()).count()
+    /// Each snapshot's log base, ascending by cycle: per thread, the
+    /// golden retirements of the window that precede the snapshot.
+    pub fn log_bases(&self) -> impl Iterator<Item = &[usize]> {
+        self.snapshots.iter().map(|s| s.log_base.as_slice())
     }
 
     /// The snapshot a trial injecting at `cycle` restores: the nearest
     /// checkpoint at or before `cycle`.
     fn nearest_at_or_before(&self, cycle: u64) -> &Snapshot<S> {
-        let i = self.cycles.partition_point(|&c| c <= cycle);
+        let i = self.snapshots.partition_point(|s| s.core.cycle() <= cycle);
         debug_assert!(i > 0, "cycle precedes the window-start checkpoint");
-        self.slot(i - 1)
-    }
-
-    /// Snapshot `i`, capturing it — and every empty slot before it —
-    /// first if needed. A filled slot is read without the lock.
-    fn slot(&self, i: usize) -> &Snapshot<S> {
-        if let Some(s) = self.slots[i].get() {
-            return s;
-        }
-        let mut capture = self.capture.lock().expect("capture lock poisoned");
-        while let Some(c) = capture.as_mut().filter(|c| c.next <= i) {
-            let n = c.next;
-            self.slots[n].get_or_init(|| c.snapshot_at(self.cycles[n]));
-            c.next += 1;
-            if c.next == self.slots.len() {
-                *capture = None; // every slot is filled
-            }
-        }
-        self.slots[i].get().expect("slots fill in cycle order")
+        &self.snapshots[i - 1]
     }
 }
 
-/// Run the golden simulation and plan `k` snapshots across its
-/// measurement window: one at the window start (so no trial ever replays
-/// warmup) and the rest evenly spaced. Returns them with the window's ACE
-/// report.
+/// Run the golden simulation and capture its snapshots in the same pass.
+/// Returns them with the window's ACE report.
 ///
-/// Warm-up runs once. A clone of the warmed core steps the window to
-/// discover `[start, end)`, the retired streams and the window's ACE
-/// report (only that clone is finalized). The warmed core
-/// itself — the window-start snapshot, so bit-identical to that pass
-/// because a clone steps exactly like its original — becomes the capture
-/// core. Only the window-start snapshot is captured here; the capture
-/// core steps to each later planned cycle when a trial first needs that
-/// snapshot, and is dropped once the last one is captured.
+/// The plan is fixed before the pass, by committed instructions rather
+/// than cycles: `K` is `k` clamped to `1..=`[`MAX_CHECKPOINTS`] and to
+/// the budget's `N = total_instructions`, and snapshot `i` is taken right
+/// after the step that first brings the window's commit count to at
+/// least `⌊N·i/K⌋`. Snapshot 0 is therefore the window start (so no trial
+/// ever replays warm-up), no two snapshots share a cycle, and none sits
+/// at or after the window end; a step that crosses several milestones
+/// yields one snapshot, so there may be fewer than `K`.
+///
+/// Warm-up runs once, then one core steps the window once: it discovers
+/// `[start, end)`, records the retired streams, clones each snapshot as
+/// it passes, and is finalized into the window's ACE report.
 pub fn run_golden_checkpointed<S, F>(
     factory: &F,
     budget: SimBudget,
@@ -685,25 +675,15 @@ where
     S: InstSource + Clone,
     F: Fn() -> SmtCore<S>,
 {
-    let core = warmed_core(factory, budget);
-    let (golden, ace) = run_window(core.clone(), budget)?;
-    let span = golden.end - golden.start;
-    // At most one checkpoint per window cycle: with `k` ≤ span the planned
-    // cycles are distinct, and a larger `k` would only repeat them.
-    let k = (k.max(1) as u64).min(span.max(1));
-    let cycles: Vec<u64> = (0..k).map(|i| golden.start + span * i / k).collect();
-    let log_base = vec![0; golden.per_thread.len()];
-    let checkpointed = CheckpointedGolden {
-        golden,
-        slots: cycles.iter().map(|_| OnceLock::new()).collect(),
-        cycles,
-        capture: Mutex::new(Some(Capture {
-            machine: Snapshot { core, log_base },
-            next: 0,
-        })),
-    };
-    checkpointed.slot(0);
-    Ok((checkpointed, ace))
+    let k = (k.clamp(1, MAX_CHECKPOINTS) as u64).min(budget.total_instructions.max(1));
+    let mut snapshots = Vec::with_capacity(k as usize);
+    let (golden, ace) = run_window(warmed_core(factory, budget), budget, k, |core, log_base| {
+        snapshots.push(Snapshot {
+            core: core.clone(),
+            log_base: log_base.to_vec(),
+        })
+    })?;
+    Ok((CheckpointedGolden { golden, snapshots }, ace))
 }
 
 /// Replay the simulation from cycle 0 to `inject_cycle`, apply `fault`,
@@ -736,8 +716,9 @@ where
 /// Restore the nearest checkpoint at or before `inject_cycle`, step only
 /// the delta, apply `fault`, run to the golden commit target, classify.
 /// Outcome-identical to [`run_trial`] (the equivalence tests assert this);
-/// replay cost drops from `warmup + (inject_cycle − start)` to at most
-/// `window / K` cycles plus one machine clone.
+/// replay cost drops from `warmup + (inject_cycle − start)` to the cycles
+/// since the nearest earlier snapshot (about `window / K` when commits
+/// are steady) plus one machine clone.
 pub fn run_trial_checkpointed<S>(
     checkpointed: &CheckpointedGolden<S>,
     fault: Fault,
@@ -1009,8 +990,9 @@ pub struct PreparedCampaign<S> {
 }
 
 impl<S: InstSource + Clone> PreparedCampaign<S> {
-    /// Validate `cfg` and run the golden pass(es): checkpointed, or plain
-    /// on [`TrialPath::ReplayFromZero`].
+    /// Validate `cfg` and run the golden pass: checkpointed, or plain on
+    /// [`TrialPath::ReplayFromZero`]. Returns with every snapshot
+    /// captured; no golden core steps after this.
     pub fn prepare<F>(factory: &F, cfg: &CampaignConfig) -> Result<PreparedCampaign<S>, InjectError>
     where
         F: Fn() -> SmtCore<S>,
@@ -1024,7 +1006,8 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
         let factory = configured_factory(factory, cfg.path);
         let (checkpointed, plain_golden, ace) = match cfg.path {
             TrialPath::ReplayFromZero => {
-                let (golden, ace) = run_window(warmed_core(&factory, cfg.budget), cfg.budget)?;
+                let core = warmed_core(&factory, cfg.budget);
+                let (golden, ace) = run_window(core, cfg.budget, 0, |_, _| {})?;
                 (None, Some(golden), ace)
             }
             _ => {
@@ -1100,11 +1083,9 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
     /// snapshot — a pure function of the checkpoint schedule, so it can be
     /// recomputed without re-running the trial. `None` on the oracle path.
     pub fn restore_distance(&self, cycle: u64) -> Option<u64> {
-        self.checkpointed.as_ref().map(|c| {
-            let i = c.cycles.partition_point(|&at| at <= cycle);
-            debug_assert!(i > 0, "sampled cycle precedes the first snapshot");
-            cycle - c.cycles[i - 1]
-        })
+        self.checkpointed
+            .as_ref()
+            .map(|c| cycle - c.nearest_at_or_before(cycle).core.cycle())
     }
 
     /// Execute trial `index`: restore/replay, inject, run out, classify.
@@ -1560,7 +1541,7 @@ pub fn run_trials_batched_full<S, F>(
     workers: usize,
 ) -> (Vec<TrialExec>, sim_exec::PoolStats, Option<LaneStats>)
 where
-    S: InstSource + Clone + Send + Sync,
+    S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
     // Heartbeat bookkeeping (stderr only; results are unaffected).
@@ -1804,12 +1785,11 @@ pub fn summarize(
 /// target executed by `workers` scoped threads on [`CampaignConfig::path`].
 pub fn run_campaign<S, F>(factory: F, cfg: &CampaignConfig) -> Result<CampaignResult, InjectError>
 where
-    S: InstSource + Clone + Send + Sync,
+    S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
-    // Workers share the prepared state (golden + checkpoint set); each
-    // trial clones only the one snapshot it restores, and the first trial
-    // to need a snapshot not yet captured captures it.
+    // Workers share the prepared state (golden + every snapshot); each
+    // trial clones only the one snapshot it restores.
     let prepared = PreparedCampaign::prepare(&factory, cfg)?;
 
     // Each trial is a pure function of the prepared state and its global

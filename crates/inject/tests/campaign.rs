@@ -117,7 +117,7 @@ fn degenerate_campaigns_are_rejected() {
 }
 
 /// A 2-context core with small caches over a short window, so a campaign
-/// with a checkpoint on every window cycle keeps its snapshots small.
+/// holding many snapshots keeps each one small.
 fn small_machine_factory() -> SmtCore {
     let mut cfg = MachineConfig::ispass07_baseline().with_contexts(2);
     cfg.il1.size_bytes = 4 * 1024;
@@ -131,8 +131,16 @@ fn small_machine_factory() -> SmtCore {
     SmtCore::new(cfg, gens)
 }
 
+/// This process's peak resident set (`VmHWM`) in MiB, where `/proc` has it.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
+}
+
 #[test]
-fn hostile_checkpoint_count_plans_each_window_cycle_once() {
+fn hostile_checkpoint_count_plans_exactly_the_cap() {
     let mut hostile = CampaignConfig::new(
         4,
         0xC0FFEE,
@@ -143,20 +151,28 @@ fn hostile_checkpoint_count_plans_each_window_cycle_once() {
     let prepared = PreparedCampaign::prepare(&small_machine_factory, &hostile)
         .expect("prepare plans a capped schedule");
     let golden = prepared.golden();
-    let window: Vec<u64> = (golden.start..golden.end).collect();
     let planned = prepared
         .checkpointed_golden()
         .expect("checkpointed path")
         .checkpoint_cycles();
-    assert_eq!(planned, window, "one checkpoint per window cycle");
-    let mut exact = hostile.clone();
-    exact.checkpoints = window.len();
+    // 600 / 64 commits between milestones is more than one step can
+    // retire, so every milestone gets its own snapshot.
+    assert_eq!(planned.len(), MAX_CHECKPOINTS, "the plan stops at the cap");
+    assert!(
+        planned.len() < (golden.end - golden.start) as usize,
+        "the window has more cycles than the cap"
+    );
+    let mut capped = hostile.clone();
+    capped.checkpoints = MAX_CHECKPOINTS;
     assert_eq!(
         run_campaign(small_machine_factory, &hostile)
             .expect("campaign runs")
             .records,
-        run_campaign(small_machine_factory, &exact)
+        run_campaign(small_machine_factory, &capped)
             .expect("campaign runs")
             .records,
     );
+    if let Some(mib) = peak_rss_mib() {
+        eprintln!("hostile checkpoint count: peak RSS {mib:.1} MiB (whole test process)");
+    }
 }

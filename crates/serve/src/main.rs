@@ -45,7 +45,9 @@ fn usage() -> String {
      \x20      [--worker-procs P] [--chunk N] [--scale quick|default]\n\
      \x20      [--checkpoints K] [--scalar] [--targets a,b,...]\n\
      \x20      [--name LABEL] [--enqueue QUEUE_DIR] [--no-metrics]\n\
-     \x20      (--scalar: one core per trial, the oracle the default lane\n\
+     \x20      (--checkpoints: golden snapshots trials restore from,\n\
+     \x20      default 12, at most 64.\n\
+     \x20      --scalar: one core per trial, the oracle the default lane\n\
      \x20      batching is proven against. In process only; not part of\n\
      \x20      the job identity.)\n\
      serve  --store DIR --queue DIR [--worker-procs P] [--poll-ms N]\n\

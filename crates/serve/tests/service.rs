@@ -620,3 +620,109 @@ fn golden_divergence_fails_the_sharded_job_and_reaps_every_worker() {
         "worker processes outlived the failed job"
     );
 }
+
+/// A store holding the submitted job's spec, its first chunk, and a golden
+/// fingerprint rewritten under the earlier evenly spaced checkpoint plan:
+/// the cycles `start + span·i/K`, each with the digest of a freshly warmed
+/// core stepped there. Returns the store, that fingerprint, and the cycles
+/// the current plan captures.
+fn old_plan_store(tag: &str) -> (PathBuf, sim_store::GoldenFingerprint, Vec<u64>) {
+    use sim_store::{
+        campaign::golden_ref, decode_record, CoreSnapshot, GoldenFingerprint, JobSpec,
+    };
+
+    let dir = fresh_dir(tag);
+    let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "1")], 1);
+    assert!(!out.status.success(), "crash hook must fire");
+    let store = Store::open(&dir).unwrap();
+    let refs = store.refs("jobs/").unwrap();
+    let (_, spec_id) = refs.iter().find(|(n, _)| n.ends_with("/spec")).unwrap();
+    let spec: JobSpec = decode_record(&store.get(spec_id).unwrap()).unwrap();
+    let golden = golden_ref(&spec.id());
+    let id = store.get_ref(&golden).unwrap().expect("golden published");
+    let current: GoldenFingerprint = decode_record(&store.get(&id).unwrap()).unwrap();
+
+    let workload = sim_workload::table2()
+        .into_iter()
+        .find(|w| w.name == spec.workload)
+        .expect("Table 2 workload");
+    let factory = smt_avf::experiments::campaign::campaign_factory(&workload).unwrap();
+    let mut core = sim_inject::warmed_core(&factory, spec.cfg.budget);
+    let (start, end) = (current.golden.start, current.golden.end);
+    let k = (spec.cfg.checkpoints as u64).min(end - start);
+    let mut checkpoints = Vec::new();
+    for i in 0..k {
+        let at = start + (end - start) * i / k;
+        while core.cycle() < at {
+            core.step_fast_bounded(at);
+        }
+        checkpoints.push(CoreSnapshot {
+            cycle: at,
+            digest: core.state_digest(),
+        });
+    }
+    let old = GoldenFingerprint {
+        golden: current.golden.clone(),
+        checkpoints,
+    };
+    let planned: Vec<u64> = current.checkpoints.iter().map(|c| c.cycle).collect();
+    assert_ne!(
+        old.checkpoints.iter().map(|c| c.cycle).collect::<Vec<_>>(),
+        planned,
+        "the two plans must differ for this test to mean anything"
+    );
+    let old_id = store.put(&encode_record(&old)).unwrap();
+    store.set_ref(&golden, &old_id).unwrap();
+    (dir, old, planned)
+}
+
+#[test]
+fn stores_fingerprinted_under_the_evenly_spaced_plan_still_resume() {
+    let clean = fresh_dir("old-plan-clean");
+    assert!(submit(&clean, &[], 1).status.success());
+    let reference = result_bytes(&clean);
+
+    for procs in [1, 2] {
+        let (dir, old, _) = old_plan_store(&format!("old-plan-{procs}"));
+        let out = submit(&dir, &[], procs);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{procs} processes: {stderr}");
+        assert!(stderr.contains("1 chunks resumed, 2 computed"), "{stderr}");
+        assert_eq!(
+            result_bytes(&dir),
+            reference,
+            "{procs} processes: resumed result bytes"
+        );
+        // The stored fingerprint is verified, never rewritten.
+        let store = Store::open(&dir).unwrap();
+        let refs = store.refs("jobs/").unwrap();
+        let (name, _) = refs.iter().find(|(n, _)| n.ends_with("/golden")).unwrap();
+        assert_eq!(
+            store.get_ref(name).unwrap(),
+            Some(ObjectId::of(&encode_record(&old))),
+            "{procs} processes: the old fingerprint stays published"
+        );
+    }
+
+    // A flipped digest at a cycle the current plan does not capture fails
+    // closed, and the error names that cycle.
+    let (dir, mut old, planned) = old_plan_store("old-plan-flipped");
+    let bad = old
+        .checkpoints
+        .iter_mut()
+        .find(|c| !planned.contains(&c.cycle))
+        .expect("an old cycle off the current plan");
+    bad.digest ^= 1;
+    let cycle = bad.cycle;
+    let store = Store::open(&dir).unwrap();
+    let refs = store.refs("jobs/").unwrap();
+    let (name, _) = refs.iter().find(|(n, _)| n.ends_with("/golden")).unwrap();
+    let tampered = store.put(&encode_record(&old)).unwrap();
+    store.set_ref(name, &tampered).unwrap();
+    drop(store);
+    let out = submit(&dir, &[], 1);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a flipped digest must fail the job");
+    assert!(stderr.contains("golden divergence"), "{stderr}");
+    assert!(stderr.contains(&format!("cycle {cycle} ")), "{stderr}");
+}

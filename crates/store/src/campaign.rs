@@ -373,8 +373,15 @@ where
                 .verify(&prepared)
                 .map_err(CampaignStoreError::Diverged)?;
             // Byte-level belt and braces: identical fingerprints encode
-            // identically, so the stored object must be what we'd write.
-            if id != ObjectId::of(&encode_record(&fingerprint)) {
+            // identically, so when the stored checkpoint plan is this
+            // rebuild's, the stored object must be what we'd write. A
+            // fingerprint from an earlier plan was verified by stepping.
+            let same_plan = stored
+                .checkpoints
+                .iter()
+                .map(|c| c.cycle)
+                .eq(fingerprint.checkpoints.iter().map(|c| c.cycle));
+            if same_plan && id != ObjectId::of(&encode_record(&fingerprint)) {
                 return Err(CampaignStoreError::Diverged(
                     "stored golden fingerprint encodes differently from the rebuilt one"
                         .to_string(),
@@ -403,7 +410,7 @@ pub fn run_campaign_stored<S, F>(
     factory: &F,
 ) -> Result<StoredOutcome, CampaignStoreError>
 where
-    S: InstSource + Clone + Send + Sync,
+    S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
     let job = spec.id();
@@ -473,7 +480,7 @@ pub fn run_chunk<S, F>(
     workers: usize,
 ) -> Vec<TrialRecord>
 where
-    S: InstSource + Clone + Send + Sync,
+    S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
     // `workers` comes from a decoded spec, so cap it at the host's

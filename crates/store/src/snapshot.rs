@@ -20,6 +20,7 @@ use crate::codec::Codec;
 use crate::record::encode_record;
 use crate::wire::{Decoder, Encoder, WireError};
 use sim_inject::{GoldenRun, PreparedCampaign};
+use sim_pipeline::SmtCore;
 use sim_workload::InstSource;
 
 /// The identity of one golden checkpoint: where it sits and the state
@@ -89,9 +90,8 @@ impl Codec for GoldenFingerprint {
 }
 
 impl GoldenFingerprint {
-    /// Fingerprint a freshly prepared campaign. Digesting every
-    /// checkpoint captures each snapshot the campaign has not captured
-    /// yet (preparation captures only the window-start one).
+    /// Fingerprint a freshly prepared campaign: its golden window and the
+    /// `(cycle, digest)` of every snapshot, all captured by `prepare`.
     pub fn of<S: InstSource + Clone>(prepared: &PreparedCampaign<S>) -> GoldenFingerprint {
         let checkpoints = match prepared.checkpointed_golden() {
             Some(c) => c
@@ -113,42 +113,80 @@ impl GoldenFingerprint {
     /// fingerprint was taken from. `Err` carries a human-readable account
     /// of the first divergence — callers must treat it as fatal (fail
     /// closed), never as something to repair.
+    ///
+    /// The golden window must be byte-identical, and each stored
+    /// `(cycle, digest)` must match the rebuilt golden machine at that
+    /// cycle. At a cycle the rebuild captured, that is its snapshot. At
+    /// any other cycle — a fingerprint written under an earlier checkpoint
+    /// plan — a clone of the nearest earlier snapshot is stepped to the
+    /// cycle and digested, so old stores resume without re-fingerprinting.
+    /// Stored cycles must ascend inside the window `[start, end)`, and a
+    /// checkpointed rebuild needs at least one of them.
     pub fn verify<S: InstSource + Clone>(
         &self,
         prepared: &PreparedCampaign<S>,
     ) -> Result<(), String> {
-        let rebuilt = GoldenFingerprint::of(prepared);
-        if rebuilt.checkpoints != self.checkpoints {
-            if rebuilt.checkpoints.len() != self.checkpoints.len() {
-                return Err(format!(
-                    "golden divergence: stored job has {} checkpoints, rebuild produced {}",
-                    self.checkpoints.len(),
-                    rebuilt.checkpoints.len()
-                ));
-            }
-            for (stored, now) in self.checkpoints.iter().zip(&rebuilt.checkpoints) {
-                if stored != now {
-                    return Err(format!(
-                        "golden divergence: stored checkpoint at cycle {} digest {:#018x}, \
-                         rebuild produced cycle {} digest {:#018x}",
-                        stored.cycle, stored.digest, now.cycle, now.digest
-                    ));
-                }
-            }
-        }
-        // The window (start/end/streams) must be byte-identical too; the
+        // The window (start/end/streams) must be byte-identical; the
         // canonical encoding *is* the equality we promise.
-        if encode_record(&rebuilt.golden) != encode_record(&self.golden) {
+        let rebuilt = prepared.golden();
+        if encode_record(rebuilt) != encode_record(&self.golden) {
             return Err(format!(
                 "golden divergence: stored window [{}, {}) target {} does not match \
                  rebuilt window [{}, {}) target {}",
                 self.golden.start,
                 self.golden.end,
                 self.golden.target_committed,
-                rebuilt.golden.start,
-                rebuilt.golden.end,
-                rebuilt.golden.target_committed,
+                rebuilt.start,
+                rebuilt.end,
+                rebuilt.target_committed,
             ));
+        }
+        let snapshots: Vec<(u64, &SmtCore<S>)> = prepared
+            .checkpointed_golden()
+            .map(|c| c.snapshots().collect())
+            .unwrap_or_default();
+        if self.checkpoints.is_empty() != snapshots.is_empty() {
+            return Err(format!(
+                "golden divergence: stored job has {} checkpoints, rebuild produced {}",
+                self.checkpoints.len(),
+                snapshots.len()
+            ));
+        }
+        // A clone stepped forward from a snapshot, reused while the stored
+        // cycles stay ahead of it: one old fingerprint costs at most one
+        // window of stepping however many cycles it lists.
+        let mut stepped: Option<SmtCore<S>> = None;
+        let mut after = None;
+        for stored in &self.checkpoints {
+            let cycle = stored.cycle;
+            if !(rebuilt.start..rebuilt.end).contains(&cycle) || after >= Some(cycle) {
+                return Err(format!(
+                    "golden divergence: stored checkpoint at cycle {cycle} is out of order or \
+                     outside the rebuilt window [{}, {})",
+                    rebuilt.start, rebuilt.end
+                ));
+            }
+            after = Some(cycle);
+            let (at, snapshot) = snapshots[snapshots.partition_point(|&(c, _)| c <= cycle) - 1];
+            let digest = if at == cycle {
+                snapshot.state_digest()
+            } else {
+                let core = match &mut stepped {
+                    Some(core) if core.cycle() >= at => core,
+                    _ => stepped.insert(snapshot.clone()),
+                };
+                while core.cycle() < cycle {
+                    core.step_fast_bounded(cycle);
+                }
+                core.state_digest()
+            };
+            if digest != stored.digest {
+                return Err(format!(
+                    "golden divergence: stored checkpoint at cycle {cycle} digest {:#018x}, \
+                     rebuild produced digest {digest:#018x}",
+                    stored.digest
+                ));
+            }
         }
         Ok(())
     }

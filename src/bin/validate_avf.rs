@@ -11,7 +11,8 @@
 //!     [--trace-out trace.json] [--telemetry-window N]
 //! ```
 //!
-//! Trials restore from K golden-run checkpoints and run 64 per batch on
+//! Trials restore from K golden-run checkpoints (at most 64, planned at
+//! evenly spaced committed-instruction milestones) and run 64 per batch on
 //! the lane-parallel lockstep engine (see DESIGN.md §5i). `--scalar` runs
 //! one core per trial instead: the oracle the batched engine is proven
 //! bit-identical against, so the window, rows and outcome tallies match.
@@ -119,6 +120,8 @@ fn parse_args() -> Result<Options, String> {
                      [--checkpoints K] [--scalar] \
                      [--store DIR] [--resume] [--chunk N] \
                      [--trace-out PATH] [--telemetry-window N]\n\
+                     --checkpoints: golden snapshots trials restore from \
+                     (default 12, at most 64)\n\
                      --scalar: one core per trial (the oracle the default \
                      64-lane batches are proven bit-identical against)"
                     .to_string())
@@ -255,7 +258,7 @@ fn main() -> ExitCode {
         campaign.targets.len(),
         campaign.seed,
         campaign.workers,
-        campaign.checkpoints,
+        campaign.checkpoints.min(sim_inject::MAX_CHECKPOINTS),
         match campaign.path {
             TrialPath::Batched { lanes } => format!("{lanes} lanes (batched)"),
             _ => "scalar (oracle)".to_string(),
