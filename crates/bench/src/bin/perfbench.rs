@@ -244,7 +244,7 @@ fn service_wallclock(trials: usize, reps: usize) -> (f64, f64, u64) {
         sim_trace::metrics::set_enabled(metrics_on);
         let store = sim_store::Store::open(dir).expect("open bench store");
         let t0 = Instant::now();
-        sim_store::run_campaign_stored(&store, &spec, &factory).expect("stored campaign");
+        sim_store::run_campaign_stored(&store, &spec, &factory, None).expect("stored campaign");
         let secs = t0.elapsed().as_secs_f64();
         sim_trace::metrics::set_enabled(false);
         secs

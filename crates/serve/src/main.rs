@@ -33,7 +33,7 @@ mod soak;
 
 use sim_store::{decode_record, encode_record, JobSpec, ObjectId, Store, DEFAULT_CHUNK_TRIALS};
 use sim_trace::metrics;
-use smt_avf::experiments::campaign::default_campaign;
+use smt_avf::experiments::campaign::{default_campaign, outcome_tally, resolve_workload};
 use smt_avf::ExperimentScale;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -153,7 +153,7 @@ fn parse_target(name: &str) -> Result<sim_inject::FaultTarget, String> {
 
 fn spec_from_flags(flags: &Flags) -> Result<JobSpec, String> {
     let workload_name = flags.require("--workload")?.to_string();
-    let workload = server::resolve_workload(&workload_name)?;
+    let workload = resolve_workload(&workload_name)?;
     let trials: usize = flags.parse_num("--trials", 50)?;
     if trials == 0 {
         return Err("--trials must be positive".to_string());
@@ -199,11 +199,7 @@ fn print_result(result: &sim_store::JobResultRecord) {
     let points: Vec<avf_core::SfiPoint> = result.per_target.iter().map(|t| t.sfi).collect();
     let rows = avf_core::compare(&result.report, &points);
     print!("{}", avf_core::render(&rows));
-    let masked: u64 = result.per_target.iter().map(|t| t.masked).sum();
-    let latent: u64 = result.per_target.iter().map(|t| t.latent).sum();
-    let sdc: u64 = result.per_target.iter().map(|t| t.sdc).sum();
-    let detected: u64 = result.per_target.iter().map(|t| t.detected).sum();
-    println!("outcomes: {masked} masked, {latent} latent, {sdc} SDC, {detected} detected");
+    println!("{}", outcome_tally(&result.per_target));
 }
 
 fn cmd_submit(flags: &Flags) -> Result<(), String> {
@@ -253,17 +249,17 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
             n => format!("{n} worker processes"),
         },
     );
-    let report = server::run_job(&store, &spec, worker_procs)?;
+    let outcome = server::run_job(&store, &spec, worker_procs)?;
     eprintln!(
         "sim-serve: job {} done: {} chunks resumed, {} computed \
          ({} trials in {:.2}s, {:.1} trials/s)",
-        server::short(&report.job),
-        report.resumed_chunks,
-        report.computed_chunks,
-        report.computed_trials,
-        report.elapsed_secs,
-        if report.elapsed_secs > 0.0 {
-            report.computed_trials as f64 / report.elapsed_secs
+        server::short(&outcome.job),
+        outcome.resumed_chunks,
+        outcome.computed_chunks,
+        outcome.computed_trials,
+        outcome.elapsed_secs,
+        if outcome.elapsed_secs > 0.0 {
+            outcome.computed_trials as f64 / outcome.elapsed_secs
         } else {
             0.0
         },
@@ -271,8 +267,8 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
     if metrics::enabled() {
         write_metrics_snapshot(&store, "submit.json");
     }
-    println!("job {}", report.job);
-    print_result(&report.result);
+    println!("job {}", outcome.job);
+    print_result(&outcome.result);
     Ok(())
 }
 

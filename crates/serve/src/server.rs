@@ -1,6 +1,9 @@
-//! Job execution: resolve a [`JobSpec`] into a prepared campaign, shard
-//! its chunks across worker processes (or run them in-process), persist
-//! every completed chunk, and publish the final result.
+//! Job execution: resolve a [`JobSpec`] into its campaign and run it
+//! through sim-store's one stored-job driver
+//! ([`sim_store::run_campaign_stored`]), which plans, checks, publishes
+//! and assembles every chunk. This module keeps only the process side of
+//! sharding: spawning `sim-serve worker` processes, framing the protocol
+//! to them, reaping them, and their `serve.worker.*` metrics.
 //!
 //! The parent process is the store's single canonical writer: workers
 //! never touch disk, they stream completed chunks back over the
@@ -12,71 +15,34 @@
 use crate::protocol::{read_frame, write_frame, WorkerChunk, WorkerReady, WorkerTask};
 use sim_inject::PreparedCampaign;
 use sim_store::{
-    assemble_result, decode_record, encode_record, load_chunk, load_result, maybe_crash_after,
-    plan_chunks, prepare_stored, run_chunk, store_chunk, ChunkPlan, ChunkRecord, GoldenFingerprint,
-    JobResultRecord, JobSpec, ObjectId, Store, StoredOutcome,
+    decode_record, run_campaign_stored, run_chunk, ChunkPlan, ChunkRecord, GoldenFingerprint,
+    JobSpec, ObjectId, Shard, Shards, Store, StoredOutcome,
 };
 use sim_trace::metrics::{self, micros_since};
-use sim_workload::{table2, SmtWorkload};
-use smt_avf::experiments::campaign::campaign_factory;
-use std::collections::VecDeque;
+use smt_avf::experiments::campaign::{campaign_factory, resolve_workload};
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Look up a Table 2 workload by name.
-pub fn resolve_workload(name: &str) -> Result<SmtWorkload, String> {
-    table2()
-        .into_iter()
-        .find(|w| w.name == name)
-        .ok_or_else(|| {
-            format!(
-                "unknown workload '{name}'; Table 2 defines: {}",
-                table2()
-                    .iter()
-                    .map(|w| w.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )
-        })
-}
-
-/// How a finished job is reported.
-pub struct JobReport {
-    /// The job's identity.
-    pub job: ObjectId,
-    /// The published result.
-    pub result: JobResultRecord,
-    /// Chunks loaded from a previous run vs computed now.
-    pub resumed_chunks: usize,
-    /// Chunks computed by this run.
-    pub computed_chunks: usize,
-    /// Trials in the chunks computed by this run.
-    pub computed_trials: u64,
-    /// Wall-clock seconds the run took.
-    pub elapsed_secs: f64,
-}
 
 /// Run `spec` to completion against the store at `store_dir`, sharding
 /// across `worker_procs` spawned worker processes (0 or 1 = in-process).
 /// Idempotent and resumable: published chunks are never recomputed.
-pub fn run_job(store_dir: &Path, spec: &JobSpec, worker_procs: usize) -> Result<JobReport, String> {
+pub fn run_job(
+    store_dir: &Path,
+    spec: &JobSpec,
+    worker_procs: usize,
+) -> Result<StoredOutcome, String> {
     let store = Store::open(store_dir).map_err(|e| e.to_string())?;
     let workload = resolve_workload(&spec.workload)?;
-    let started = Instant::now();
-    let outcome = if worker_procs <= 1 {
-        run_in_process(&store, spec, &workload)?
-    } else {
-        run_sharded(&store, spec, &workload, worker_procs)?
+    let factory = campaign_factory(&workload).map_err(|e| e.to_string())?;
+    let spawn = |index| spawn_worker(spec, index).map(|w| Box::new(w) as Box<dyn Shard>);
+    let shards = Shards {
+        procs: worker_procs,
+        spawn: &spawn,
     };
-    let elapsed = started.elapsed().as_secs_f64();
-    let trials = outcome.result.records.len() as u64;
-    let computed_trials = (outcome.computed_chunks as u64)
-        .saturating_mul(spec.chunk_trials.max(1) as u64)
-        .min(trials);
+    let outcome =
+        run_campaign_stored(&store, spec, &factory, Some(shards)).map_err(|e| e.to_string())?;
     if metrics::enabled() {
         let reg = metrics::global();
         reg.counter("serve.jobs").inc();
@@ -85,25 +51,9 @@ pub fn run_job(store_dir: &Path, spec: &JobSpec, worker_procs: usize) -> Result<
         reg.counter("serve.chunks_computed")
             .add(outcome.computed_chunks as u64);
         reg.histogram("serve.job_us")
-            .observe((elapsed * 1e6) as u64);
+            .observe((outcome.elapsed_secs * 1e6) as u64);
     }
-    Ok(JobReport {
-        job: spec.id(),
-        result: outcome.result,
-        resumed_chunks: outcome.resumed_chunks,
-        computed_chunks: outcome.computed_chunks,
-        computed_trials,
-        elapsed_secs: elapsed,
-    })
-}
-
-fn run_in_process(
-    store: &Store,
-    spec: &JobSpec,
-    workload: &SmtWorkload,
-) -> Result<StoredOutcome, String> {
-    let factory = campaign_factory(workload).map_err(|e| e.to_string())?;
-    sim_store::run_campaign_stored(store, spec, &factory).map_err(|e| e.to_string())
+    Ok(outcome)
 }
 
 /// A worker process that is killed and reaped when dropped, so no worker
@@ -120,15 +70,17 @@ impl Drop for Reaped {
     }
 }
 
-/// One spawned worker process and its protocol streams. The process is
-/// the first field, so it is killed before its pipes close.
+/// One spawned worker process and its protocol streams: the
+/// [`Shard`] the driver hands chunks to. The process is the first field,
+/// so it is killed before its pipes close.
 struct Worker {
     child: Reaped,
+    index: usize,
     stdin: BufWriter<ChildStdin>,
     stdout: BufReader<ChildStdout>,
 }
 
-fn spawn_worker(spec: &JobSpec) -> Result<Worker, String> {
+fn spawn_worker(spec: &JobSpec, index: usize) -> Result<Worker, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let child = Command::new(&exe)
         .arg("worker")
@@ -148,166 +100,56 @@ fn spawn_worker(spec: &JobSpec) -> Result<Worker, String> {
     write_frame(&mut stdin, spec).map_err(|e| format!("sending spec to worker: {e}"))?;
     Ok(Worker {
         child,
+        index,
         stdin,
         stdout,
     })
 }
 
-fn run_sharded(
-    store: &Store,
-    spec: &JobSpec,
-    workload: &SmtWorkload,
-    worker_procs: usize,
-) -> Result<StoredOutcome, String> {
-    let job = spec.id();
-    if let Some(done) = load_result(store, &job).map_err(|e| e.to_string())? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
-    }
-    let _lock = store.lock().map_err(|e| e.to_string())?;
-    if let Some(done) = load_result(store, &job).map_err(|e| e.to_string())? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
+impl Shard for Worker {
+    fn greet(&mut self) -> Result<GoldenFingerprint, String> {
+        let wi = self.index;
+        let ready: WorkerReady = read_frame(&mut self.stdout)
+            .map_err(|e| format!("worker {wi}: {e}"))?
+            .ok_or_else(|| format!("worker {wi} exited before greeting"))?;
+        Ok(ready.fingerprint)
     }
 
-    let plans = plan_chunks(spec.total_trials(), spec.chunk_trials);
-    let mut missing = VecDeque::new();
-    let mut resumed = 0usize;
-    for &plan in &plans {
-        match load_chunk(store, &job, plan).map_err(|e| e.to_string())? {
-            Some(_) => resumed += 1,
-            None => missing.push_back(plan),
+    fn run(&mut self, plan: ChunkPlan) -> Result<ChunkRecord, String> {
+        let wi = self.index;
+        let t_chunk = metrics::enabled().then(Instant::now);
+        write_frame(&mut self.stdin, &WorkerTask { plan })
+            .map_err(|e| format!("worker {wi}: {e}"))?;
+        let reply: WorkerChunk = read_frame(&mut self.stdout)
+            .map_err(|e| format!("worker {wi}: {e}"))?
+            .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?;
+        if let Some(t) = t_chunk {
+            // Dispatch→reply wall time is this worker's busy window: its
+            // driver thread does nothing else between the frames.
+            let us = micros_since(t);
+            let reg = metrics::global();
+            reg.histogram("serve.worker.chunk_us").observe(us);
+            reg.counter(&format!("serve.worker{wi}.busy_us")).add(us);
+            reg.counter(&format!("serve.worker{wi}.frames")).add(2);
         }
+        Ok(reply.chunk)
     }
 
-    // Workers start before the parent's golden pass, so every process
-    // builds its golden at once. A resume with every chunk published
-    // spawns none. From here on, an early return drops `workers`, which
-    // kills and reaps each one.
-    let procs = worker_procs.min(missing.len());
-    let mut workers = Vec::with_capacity(procs);
-    for _ in 0..procs {
-        workers.push(spawn_worker(spec)?);
+    fn finish(self: Box<Self>) -> Result<(), String> {
+        let Worker {
+            mut child,
+            index: wi,
+            stdin,
+            ..
+        } = *self;
+        // Closing stdin is the shutdown signal.
+        drop(stdin);
+        let status = child.0.wait().map_err(|e| format!("worker {wi}: {e}"))?;
+        if !status.success() {
+            return Err(format!("worker {wi} exited with {status}"));
+        }
+        Ok(())
     }
-
-    // The parent prepares its own golden: it owns fingerprint
-    // verification against the store, verifies every worker's greeting
-    // against it, and supplies the result's ACE report.
-    let factory = campaign_factory(workload).map_err(|e| e.to_string())?;
-    let (_, prepared) = prepare_stored(store, spec, &factory).map_err(|e| e.to_string())?;
-    let expected = encode_record(&GoldenFingerprint::of(&prepared));
-
-    let total = plans.len();
-    let queue: Mutex<VecDeque<ChunkPlan>> = Mutex::new(missing);
-    let done = AtomicUsize::new(resumed);
-    let computed = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| -> Result<(), String> {
-        let mut handles = Vec::with_capacity(workers.len());
-        for (wi, mut worker) in workers.into_iter().enumerate() {
-            let queue = &queue;
-            let done = &done;
-            let computed = &computed;
-            let expected = &expected;
-            handles.push(scope.spawn(move || -> Result<(), String> {
-                let ready: WorkerReady = read_frame(&mut worker.stdout)
-                    .map_err(|e| format!("worker {wi}: {e}"))?
-                    .ok_or_else(|| format!("worker {wi} exited before greeting"))?;
-                if encode_record(&ready.fingerprint) != *expected {
-                    return Err(format!(
-                        "worker {wi} rebuilt a different golden state than the parent; \
-                         refusing to shard across divergent machines"
-                    ));
-                }
-                let timed = metrics::enabled();
-                loop {
-                    let plan = match queue.lock().expect("queue lock").pop_front() {
-                        Some(p) => p,
-                        None => break,
-                    };
-                    let t_chunk = timed.then(Instant::now);
-                    write_frame(&mut worker.stdin, &WorkerTask { plan })
-                        .map_err(|e| format!("worker {wi}: {e}"))?;
-                    let reply: WorkerChunk = read_frame(&mut worker.stdout)
-                        .map_err(|e| format!("worker {wi}: {e}"))?
-                        .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?;
-                    if let Some(t) = t_chunk {
-                        // Dispatch→reply wall time is this worker's busy
-                        // window: the parent thread does nothing else
-                        // between the frames.
-                        let us = micros_since(t);
-                        let reg = metrics::global();
-                        reg.histogram("serve.worker.chunk_us").observe(us);
-                        reg.counter(&format!("serve.worker{wi}.busy_us")).add(us);
-                        reg.counter(&format!("serve.worker{wi}.frames")).add(2);
-                    }
-                    let chunk = reply.chunk;
-                    if chunk.job != job
-                        || chunk.index != plan.index
-                        || chunk.start != plan.start
-                        || chunk.records.len() != plan.len
-                    {
-                        return Err(format!(
-                            "worker {wi} returned chunk {} for the wrong slot",
-                            chunk.index
-                        ));
-                    }
-                    store_chunk(store, &chunk).map_err(|e| e.to_string())?;
-                    let so_far = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "sim-serve: job {} chunk {} published ({so_far}/{total})",
-                        short(&job),
-                        plan.index
-                    );
-                    maybe_crash_after(computed.fetch_add(1, Ordering::Relaxed) + 1);
-                }
-                // Closing stdin is the shutdown signal.
-                drop(worker.stdin);
-                let status = worker
-                    .child
-                    .0
-                    .wait()
-                    .map_err(|e| format!("worker {wi}: {e}"))?;
-                if !status.success() {
-                    return Err(format!("worker {wi} exited with {status}"));
-                }
-                Ok(())
-            }));
-        }
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.join().expect("worker thread panicked") {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    })?;
-
-    // Reload every chunk from the store — assembly runs over published
-    // bytes, not in-memory copies, so what we summarize is what survived.
-    let mut chunks: Vec<ChunkRecord> = Vec::with_capacity(plans.len());
-    for &plan in &plans {
-        match load_chunk(store, &job, plan).map_err(|e| e.to_string())? {
-            Some(c) => chunks.push(c),
-            None => return Err(format!("chunk {} missing after shard run", plan.index)),
-        }
-    }
-    let report = prepared.ace_report().clone();
-    let result = assemble_result(store, &job, spec, chunks, report).map_err(|e| e.to_string())?;
-    Ok(StoredOutcome {
-        result,
-        resumed_chunks: resumed,
-        computed_chunks: computed.load(Ordering::Relaxed),
-    })
 }
 
 /// Worker-process entry point: speak the protocol on stdin/stdout until
@@ -332,19 +174,9 @@ pub fn worker_main() -> Result<(), String> {
     while let Some(task) =
         read_frame::<WorkerTask, _>(&mut stdin).map_err(|e| format!("reading task: {e}"))?
     {
-        let records = run_chunk(&prepared, &factory, task.plan, spec.cfg.workers);
-        write_frame(
-            &mut stdout,
-            &WorkerChunk {
-                chunk: ChunkRecord {
-                    job,
-                    index: task.plan.index,
-                    start: task.plan.start,
-                    records,
-                },
-            },
-        )
-        .map_err(|e| format!("sending chunk {}: {e}", task.plan.index))?;
+        let chunk = run_chunk(&prepared, &factory, job, task.plan, spec.cfg.workers);
+        write_frame(&mut stdout, &WorkerChunk { chunk })
+            .map_err(|e| format!("sending chunk {}: {e}", task.plan.index))?;
     }
     Ok(())
 }
@@ -423,14 +255,14 @@ pub fn drain_queue(
                     spec.name
                 );
                 match run_job(store_dir, &spec, worker_procs) {
-                    Ok(report) => {
+                    Ok(outcome) => {
                         eprintln!(
                             "sim-serve: job {} done ({} resumed, {} computed)",
-                            short(&report.job),
-                            report.resumed_chunks,
-                            report.computed_chunks
+                            short(&outcome.job),
+                            outcome.resumed_chunks,
+                            outcome.computed_chunks
                         );
-                        (Some(report.job), "done")
+                        (Some(outcome.job), "done")
                     }
                     Err(e) => {
                         eprintln!("sim-serve: job failed: {e}");

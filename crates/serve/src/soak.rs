@@ -23,7 +23,7 @@ use crate::server;
 use crate::Flags;
 use sim_store::{GcReport, JobSpec, ObjectId, Store};
 use sim_trace::metrics;
-use smt_avf::experiments::campaign::default_campaign;
+use smt_avf::experiments::campaign::{default_campaign, resolve_workload};
 use smt_avf::ExperimentScale;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -40,7 +40,7 @@ fn soak_spec(
     targets: &[sim_inject::FaultTarget],
     chunk: usize,
 ) -> Result<JobSpec, String> {
-    let workload = server::resolve_workload(workload_name)?;
+    let workload = resolve_workload(workload_name)?;
     let mut cfg = default_campaign(&workload, trials, seed, ExperimentScale::quick());
     cfg.checkpoints = cfg.checkpoints.max(1);
     cfg.targets = targets.to_vec();

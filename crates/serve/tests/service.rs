@@ -11,7 +11,7 @@
 //! * **fsck** — a deliberately corrupted object makes `sim-serve fsck`
 //!   fail closed.
 
-use sim_store::{encode_record, JobResultRecord, ObjectId, Store};
+use sim_store::{encode_record, ChunkRecord, JobResultRecord, ObjectId, Store};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -725,4 +725,79 @@ fn stores_fingerprinted_under_the_evenly_spaced_plan_still_resume() {
     assert!(!out.status.success(), "a flipped digest must fail the job");
     assert!(stderr.contains("golden divergence"), "{stderr}");
     assert!(stderr.contains(&format!("cycle {cycle} ")), "{stderr}");
+}
+
+#[test]
+fn a_resume_counts_exactly_the_trials_it_computes() {
+    // Eight trials in chunks of 3, 3 and 2: after the first chunk, the
+    // resume computes 3 + 2 trials, in process and sharded alike.
+    for procs in [1, 2] {
+        let dir = fresh_dir(&format!("exact-trials-{procs}"));
+        let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "1")], 1);
+        assert!(!out.status.success(), "crash hook must fire");
+        let out = submit(&dir, &[], procs);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{procs} processes: {stderr}");
+        assert!(
+            stderr.contains("1 chunks resumed, 2 computed (5 trials in "),
+            "{procs} processes: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn a_resume_fails_closed_on_a_repointed_chunk_ref() {
+    // Chunk 1's ref re-pointed at chunk 0 (another index), or at a copy of
+    // chunk 1 missing a trial (another length): the resume must refuse,
+    // name the chunk, and publish no result, in process and sharded.
+    for procs in [1, 2] {
+        for (tamper, expect) in [
+            ("index", "chunk 1 belongs to"),
+            ("length", "chunk 1 holds 2"),
+        ] {
+            let dir = fresh_dir(&format!("repointed-{tamper}-{procs}"));
+            let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "2")], 1);
+            assert!(!out.status.success(), "crash hook must fire");
+            let store = Store::open(&dir).unwrap();
+            let refs = store.refs("jobs/").unwrap();
+            let chunk = |n: &str| {
+                refs.iter()
+                    .find(|(name, _)| name.ends_with(n))
+                    .unwrap()
+                    .clone()
+            };
+            let (name1, id1) = chunk("/chunks/000001");
+            let target = match tamper {
+                "index" => chunk("/chunks/000000").1,
+                _ => {
+                    let mut short: ChunkRecord =
+                        sim_store::decode_record(&store.get(&id1).unwrap()).unwrap();
+                    short.records.pop();
+                    store.put(&encode_record(&short)).unwrap()
+                }
+            };
+            store.set_ref(&name1, &target).unwrap();
+            drop(store);
+
+            let out = submit(&dir, &[], procs);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !out.status.success(),
+                "{tamper}, {procs} processes: {stderr}"
+            );
+            assert!(
+                stderr.contains(expect),
+                "{tamper}, {procs} processes: {stderr}"
+            );
+            let store = Store::open(&dir).unwrap();
+            assert!(
+                !store
+                    .refs("jobs/")
+                    .unwrap()
+                    .iter()
+                    .any(|(n, _)| n.ends_with("/result")),
+                "{tamper}, {procs} processes: no result may be published"
+            );
+        }
+    }
 }

@@ -25,6 +25,14 @@
 //! `splitmix64(seed, i)` alone, so which process computes a chunk — or
 //! how many times a prefix was recomputed before a crash — cannot change
 //! the bytes of any record.
+//!
+//! # One driver
+//!
+//! Every stored job runs through [`run_campaign_stored`], which owns the
+//! whole lifecycle and its one chunk loop. The caller only picks where
+//! chunks are computed: in this process with [`run_chunk`], or on
+//! [`Shards`] (`sim-serve` worker processes) that greet the driver with
+//! their golden fingerprint and answer chunk plans.
 
 use crate::codec::Codec;
 use crate::record::{decode_record, encode_record, CodecError};
@@ -37,7 +45,11 @@ use sim_inject::{
 };
 use sim_pipeline::SmtCore;
 use sim_workload::InstSource;
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Default trials per persisted chunk: small enough that a kill loses
 /// little work, large enough that publish overhead stays negligible.
@@ -243,9 +255,11 @@ pub enum CampaignStoreError {
     Codec(CodecError),
     /// The campaign could not be prepared or run.
     Inject(InjectError),
-    /// Stored state contradicts the job being resumed (wrong job id,
-    /// golden divergence, chunk shape mismatch). Always fatal.
+    /// Stored state or a shard contradicts the job being run (wrong job
+    /// id, golden divergence, chunk shape mismatch). Always fatal.
     Diverged(String),
+    /// A shard failed to start, to answer, or to shut down.
+    Shard(String),
 }
 
 impl fmt::Display for CampaignStoreError {
@@ -255,6 +269,7 @@ impl fmt::Display for CampaignStoreError {
             CampaignStoreError::Codec(e) => write!(f, "stored record: {e}"),
             CampaignStoreError::Inject(e) => write!(f, "campaign: {e}"),
             CampaignStoreError::Diverged(s) => write!(f, "refusing to resume: {s}"),
+            CampaignStoreError::Shard(s) => write!(f, "{s}"),
         }
     }
 }
@@ -279,28 +294,52 @@ impl From<InjectError> for CampaignStoreError {
     }
 }
 
-/// How a stored campaign finished.
+/// How a stored job finished.
 #[derive(Debug)]
 pub struct StoredOutcome {
-    /// The final result (freshly computed or loaded from the store).
+    /// The job's identity.
+    pub job: ObjectId,
+    /// The final result (freshly assembled or loaded from the store).
     pub result: JobResultRecord,
+    /// The golden measurement window `[start, end)`.
+    pub window: (u64, u64),
     /// Chunks loaded from a previous run.
     pub resumed_chunks: usize,
     /// Chunks computed by this run.
     pub computed_chunks: usize,
+    /// Trials in the chunks computed by this run.
+    pub computed_trials: usize,
+    /// Wall-clock seconds the run took.
+    pub elapsed_secs: f64,
 }
 
-/// Load, validate and return chunk `plan` of `job` if it is already
-/// published; `Ok(None)` when absent.
-pub fn load_chunk(
-    store: &Store,
+/// A worker that computes chunks of the job being run outside the
+/// parent's thread. It never touches the store: the parent, the single
+/// writer, checks and publishes every chunk it returns.
+pub trait Shard: Send {
+    /// The fingerprint of the golden state this shard rebuilt. No chunk is
+    /// handed out until it encodes exactly like the parent's own.
+    fn greet(&mut self) -> Result<GoldenFingerprint, String>;
+    /// Compute chunk `plan`.
+    fn run(&mut self, plan: ChunkPlan) -> Result<ChunkRecord, String>;
+    /// Shut down cleanly once no chunk is left.
+    fn finish(self: Box<Self>) -> Result<(), String>;
+}
+
+/// The shards a stored job may spread its missing chunks over.
+pub struct Shards<'a> {
+    /// Worker-process count P; with P ≤ 1 the parent computes every chunk.
+    pub procs: usize,
+    /// Start shard `i` of the job being run.
+    pub spawn: &'a dyn Fn(usize) -> Result<Box<dyn Shard>, String>,
+}
+
+/// Fail closed unless `chunk` is chunk `plan` of `job`.
+fn check_chunk(
+    chunk: &ChunkRecord,
     job: &ObjectId,
     plan: ChunkPlan,
-) -> Result<Option<ChunkRecord>, CampaignStoreError> {
-    let Some(id) = store.get_ref(&chunk_ref(job, plan.index))? else {
-        return Ok(None);
-    };
-    let chunk: ChunkRecord = decode_record(&store.get(&id)?)?;
+) -> Result<(), CampaignStoreError> {
     if chunk.job != *job || chunk.index != plan.index || chunk.start != plan.start {
         return Err(CampaignStoreError::Diverged(format!(
             "chunk {} belongs to job {} [index {}, start {}], expected job {} \
@@ -316,13 +355,28 @@ pub fn load_chunk(
             plan.len
         )));
     }
+    Ok(())
+}
+
+/// Load and check chunk `plan` of `job` if it is already published;
+/// `Ok(None)` when absent.
+fn load_chunk(
+    store: &Store,
+    job: &ObjectId,
+    plan: ChunkPlan,
+) -> Result<Option<ChunkRecord>, CampaignStoreError> {
+    let Some(id) = store.get_ref(&chunk_ref(job, plan.index))? else {
+        return Ok(None);
+    };
+    let chunk: ChunkRecord = decode_record(&store.get(&id)?)?;
+    check_chunk(&chunk, job, plan)?;
     Ok(Some(chunk))
 }
 
 /// Publish `chunk` and point its ref at it.
-pub fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignStoreError> {
+fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignStoreError> {
     use sim_trace::metrics;
-    let t = metrics::enabled().then(std::time::Instant::now);
+    let t = metrics::enabled().then(Instant::now);
     let id = store.put(&encode_record(chunk))?;
     store.set_ref(&chunk_ref(&chunk.job, chunk.index), &id)?;
     if let Some(t) = t {
@@ -338,7 +392,7 @@ pub fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignSto
 /// `SIM_STORE_CRASH_AFTER_CHUNKS=N` is set and this run has published
 /// `fresh` new chunks, die exactly like `kill -9` would (no unwinding, no
 /// cleanup, the LOCK file stays behind).
-pub fn maybe_crash_after(fresh: usize) {
+fn maybe_crash_after(fresh: usize) {
     if let Ok(v) = std::env::var("SIM_STORE_CRASH_AFTER_CHUNKS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if fresh >= n {
@@ -351,12 +405,13 @@ pub fn maybe_crash_after(fresh: usize) {
 
 /// Prepare `spec`'s campaign and reconcile it with the store: publish the
 /// spec, then publish or verify the golden fingerprint (fail closed on
-/// divergence with a previous run).
-pub fn prepare_stored<S, F>(
+/// divergence with a previous run). Returns the campaign and the
+/// fingerprint this process rebuilt.
+fn prepare_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
     factory: &F,
-) -> Result<(ObjectId, PreparedCampaign<S>), CampaignStoreError>
+) -> Result<(PreparedCampaign<S>, GoldenFingerprint), CampaignStoreError>
 where
     S: InstSource + Clone,
     F: Fn() -> SmtCore<S>,
@@ -393,92 +448,184 @@ where
             store.set_ref(&golden_ref(&job), &id)?;
         }
     }
-    Ok((job, prepared))
+    Ok((prepared, fingerprint))
 }
 
-/// Run `spec` against `store`: resume from published chunks, compute and
-/// publish the missing ones, then assemble, summarize, attach the golden
-/// window's ACE report, and publish the result.
-///
-/// Holds the store's writer lock for the duration. Idempotent: if the
-/// result is already published it is returned as-is (after validating it
-/// belongs to this job), and a rerun after any interruption produces
-/// byte-identical records.
+/// The chunk loop: take chunks off `queue` until it is empty, get each
+/// from `compute`, check it against its plan, publish it, and fire the
+/// crash hook. Each shard runs its own loop on its own thread.
+fn publish_chunks(
+    store: &Store,
+    job: &ObjectId,
+    queue: &Mutex<VecDeque<ChunkPlan>>,
+    fresh: &AtomicUsize,
+    mut compute: impl FnMut(ChunkPlan) -> Result<ChunkRecord, CampaignStoreError>,
+) -> Result<(), CampaignStoreError> {
+    loop {
+        let Some(plan) = queue.lock().expect("chunk queue").pop_front() else {
+            return Ok(());
+        };
+        let chunk = compute(plan)?;
+        check_chunk(&chunk, job, plan)?;
+        store_chunk(store, &chunk)?;
+        maybe_crash_after(fresh.fetch_add(1, Ordering::Relaxed) + 1);
+    }
+}
+
+/// Greet `shard`, then run the chunk loop on it and shut it down. On any
+/// failure the queue is emptied, so the other shards stop at their next
+/// chunk.
+fn drive_shard(
+    index: usize,
+    mut shard: Box<dyn Shard>,
+    expected: &[u8],
+    store: &Store,
+    job: &ObjectId,
+    queue: &Mutex<VecDeque<ChunkPlan>>,
+    fresh: &AtomicUsize,
+) -> Result<(), CampaignStoreError> {
+    let mut drive = || {
+        let greeting = shard.greet().map_err(CampaignStoreError::Shard)?;
+        if encode_record(&greeting) != expected {
+            return Err(CampaignStoreError::Diverged(format!(
+                "shard {index} rebuilt a different golden state than the parent; \
+                 refusing to shard across divergent machines"
+            )));
+        }
+        publish_chunks(store, job, queue, fresh, |plan| {
+            shard.run(plan).map_err(CampaignStoreError::Shard)
+        })
+    };
+    let driven = drive();
+    if driven.is_err() {
+        queue.lock().expect("chunk queue").clear();
+        return driven;
+    }
+    shard.finish().map_err(CampaignStoreError::Shard)
+}
+
+/// The finished-result shortcut: `result` is already published. The
+/// window comes from the job's stored golden fingerprint, published by
+/// whichever run prepared the campaign first.
+fn finished(
+    store: &Store,
+    job: ObjectId,
+    chunks: usize,
+    result: JobResultRecord,
+    started: Instant,
+) -> Result<StoredOutcome, CampaignStoreError> {
+    let id = store.get_ref(&golden_ref(&job))?.ok_or_else(|| {
+        CampaignStoreError::Diverged(format!("job {job} has a result but no golden"))
+    })?;
+    let golden: GoldenFingerprint = decode_record(&store.get(&id)?)?;
+    Ok(StoredOutcome {
+        job,
+        result,
+        window: (golden.golden.start, golden.golden.end),
+        resumed_chunks: chunks,
+        computed_chunks: 0,
+        computed_trials: 0,
+        elapsed_secs: started.elapsed().as_secs_f64(),
+    })
+}
+
+/// Run `spec` against `store`: the one driver of every stored job
+/// (DESIGN.md §5h, "Job timeline"). Returns the published result if there
+/// is one, checked before and again under the writer lock; otherwise scans
+/// the published chunks, starts `min(P, missing)` shards before the
+/// parent's golden pass (none when P ≤ 1), prepares and fingerprints the
+/// campaign, runs the chunk loop, and assembles the result from the
+/// store. Any failure fails the job closed and drops every started shard;
+/// a rerun after any interruption produces byte-identical records.
 pub fn run_campaign_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
     factory: &F,
+    shards: Option<Shards<'_>>,
 ) -> Result<StoredOutcome, CampaignStoreError>
 where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
+    let started = Instant::now();
     let job = spec.id();
+    let plans = plan_chunks(spec.total_trials(), spec.chunk_trials);
     if let Some(done) = load_result(store, &job)? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
+        return finished(store, job, plans.len(), done, started);
     }
     let _lock: WriterLock = store.lock()?;
     // Someone else may have finished between the check and the lock.
     if let Some(done) = load_result(store, &job)? {
-        return Ok(StoredOutcome {
-            result: done,
-            resumed_chunks: plan_chunks(spec.total_trials(), spec.chunk_trials).len(),
-            computed_chunks: 0,
-        });
+        return finished(store, job, plans.len(), done, started);
     }
-    let (job, prepared) = prepare_stored(store, spec, factory)?;
-    let plans = plan_chunks(prepared.total_trials(), spec.chunk_trials);
-    let mut chunks: Vec<ChunkRecord> = Vec::with_capacity(plans.len());
-    let mut resumed = 0usize;
-    let mut computed = 0usize;
-    for plan in plans {
-        let chunk = match load_chunk(store, &job, plan)? {
-            Some(c) => {
-                resumed += 1;
-                c
-            }
-            None => {
-                let records = run_chunk(&prepared, factory, plan, spec.cfg.workers);
-                let chunk = ChunkRecord {
-                    job,
-                    index: plan.index,
-                    start: plan.start,
-                    records,
-                };
-                store_chunk(store, &chunk)?;
-                computed += 1;
-                maybe_crash_after(computed);
-                chunk
-            }
-        };
-        chunks.push(chunk);
+    let mut missing = VecDeque::new();
+    for &plan in &plans {
+        if load_chunk(store, &job, plan)?.is_none() {
+            missing.push_back(plan);
+        }
     }
-    let result = assemble_result(store, &job, spec, chunks, prepared.ace_report().clone())?;
+    let computed_chunks = missing.len();
+    let computed_trials = missing.iter().map(|p| p.len).sum();
+    let mut started_shards = Vec::new();
+    if let Some(Shards { procs, spawn }) = shards.filter(|s| s.procs > 1) {
+        for i in 0..procs.min(missing.len()) {
+            started_shards.push(spawn(i).map_err(CampaignStoreError::Shard)?);
+        }
+    }
+
+    let (prepared, fingerprint) = prepare_stored(store, spec, factory)?;
+    let expected = (!started_shards.is_empty()).then(|| encode_record(&fingerprint));
+    drop(fingerprint);
+    let queue = Mutex::new(missing);
+    let fresh = AtomicUsize::new(0);
+    match &expected {
+        None => publish_chunks(store, &job, &queue, &fresh, |plan| {
+            Ok(run_chunk(&prepared, factory, job, plan, spec.cfg.workers))
+        })?,
+        Some(expected) => std::thread::scope(|scope| {
+            let (queue, fresh, job) = (&queue, &fresh, &job);
+            let lanes: Vec<_> = started_shards
+                .into_iter()
+                .enumerate()
+                .map(|(i, shard)| {
+                    scope.spawn(move || drive_shard(i, shard, expected, store, job, queue, fresh))
+                })
+                .collect();
+            lanes
+                .into_iter()
+                .map(|lane| lane.join().expect("shard thread panicked"))
+                .fold(Ok(()), Result::and)
+        })?,
+    }
+
+    let result = assemble_result(store, &job, spec, &plans, prepared.ace_report().clone())?;
+    let golden = prepared.golden();
     Ok(StoredOutcome {
+        job,
         result,
-        resumed_chunks: resumed,
-        computed_chunks: computed,
+        window: (golden.start, golden.end),
+        resumed_chunks: plans.len() - computed_chunks,
+        computed_chunks,
+        computed_trials,
+        elapsed_secs: started.elapsed().as_secs_f64(),
     })
 }
 
-/// Execute one chunk's trials on `workers` threads (at most the host's
-/// available parallelism); records come back in
-/// trial-index order regardless of scheduling. Runs the prepared
-/// campaign's [`CampaignConfig::path`] — every trial path changes only
-/// wall clock, never the records, so stored chunks (and the object ids
-/// derived from them) are byte-identical for any lane count.
+/// Execute chunk `plan` of `job` on `workers` threads (at most the
+/// host's available parallelism); records come back in trial-index order
+/// regardless of scheduling. Runs the prepared campaign's
+/// [`CampaignConfig::path`] — every trial path changes only wall clock,
+/// never the records, so stored chunks (and the object ids derived from
+/// them) are byte-identical for any lane count.
 ///
 /// [`CampaignConfig::path`]: sim_inject::CampaignConfig::path
 pub fn run_chunk<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
+    job: ObjectId,
     plan: ChunkPlan,
     workers: usize,
-) -> Vec<TrialRecord>
+) -> ChunkRecord
 where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
@@ -487,34 +634,39 @@ where
     // parallelism: a job file must not size a thread pool. Records are
     // worker-count-invariant, so only wall clock changes.
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    sim_inject::run_trials_batched_full(prepared, factory, plan.start, plan.len, workers.min(host))
-        .0
-        .into_iter()
-        .map(|exec| exec.record)
-        .collect()
+    let execs = sim_inject::run_trials_batched_full(
+        prepared,
+        factory,
+        plan.start,
+        plan.len,
+        workers.min(host),
+    )
+    .0;
+    ChunkRecord {
+        job,
+        index: plan.index,
+        start: plan.start,
+        records: execs.into_iter().map(|exec| exec.record).collect(),
+    }
 }
 
-/// Assemble validated `chunks` into the job's final record, attach
-/// `report` — the prepared golden window's ACE report
-/// ([`PreparedCampaign::ace_report`]) — publish, and return it.
-pub fn assemble_result(
+/// Reload every chunk of `plans` from the store — assembly runs over the
+/// published bytes, not in-memory copies — then summarize, attach `report`
+/// (the golden window's [`PreparedCampaign::ace_report`]), and publish the
+/// job's result.
+fn assemble_result(
     store: &Store,
     job: &ObjectId,
     spec: &JobSpec,
-    chunks: Vec<ChunkRecord>,
+    plans: &[ChunkPlan],
     report: AvfReport,
 ) -> Result<JobResultRecord, CampaignStoreError> {
     let mut records = Vec::with_capacity(spec.total_trials());
-    for chunk in &chunks {
-        if chunk.start != records.len() {
-            return Err(CampaignStoreError::Diverged(format!(
-                "chunk {} starts at trial {}, assembly is at {}",
-                chunk.index,
-                chunk.start,
-                records.len()
-            )));
-        }
-        records.extend_from_slice(&chunk.records);
+    for &plan in plans {
+        let chunk = load_chunk(store, job, plan)?.ok_or_else(|| {
+            CampaignStoreError::Diverged(format!("chunk {} missing at assembly", plan.index))
+        })?;
+        records.extend(chunk.records);
     }
     let per_target = summarize(&spec.cfg.targets, spec.cfg.trials_per_structure, &records);
     let result = JobResultRecord {

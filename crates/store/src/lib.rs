@@ -27,9 +27,8 @@ pub mod store;
 pub mod wire;
 
 pub use campaign::{
-    assemble_result, load_chunk, load_result, maybe_crash_after, plan_chunks, prepare_stored,
-    run_campaign_stored, run_chunk, store_chunk, CampaignStoreError, ChunkPlan, ChunkRecord,
-    JobResultRecord, JobSpec, StoredOutcome, DEFAULT_CHUNK_TRIALS,
+    load_result, plan_chunks, run_campaign_stored, run_chunk, CampaignStoreError, ChunkPlan,
+    ChunkRecord, JobResultRecord, JobSpec, Shard, Shards, StoredOutcome, DEFAULT_CHUNK_TRIALS,
 };
 pub use codec::{fsck_decode, Codec};
 pub use record::{decode_record, encode_record, fnv1a64, CodecError, FORMAT_VERSION, MAGIC};

@@ -4,7 +4,7 @@
 use sim_inject::{CampaignConfig, PreparedCampaign, TrialPath};
 use sim_model::MachineConfig;
 use sim_pipeline::{FaultTarget, SimBudget, SmtCore};
-use sim_store::{run_chunk, ChunkPlan};
+use sim_store::{run_chunk, ChunkPlan, ObjectId};
 use sim_workload::{profile, TraceGenerator};
 
 fn factory() -> SmtCore {
@@ -32,9 +32,10 @@ fn hostile_worker_count_is_clamped_to_host_parallelism() {
         len: prepared.total_trials(),
     };
     assert_eq!(plan.len, 8);
-    let serial = run_chunk(&prepared, &factory, plan, 1);
+    let job = ObjectId::of(b"chunk-workers");
+    let serial = run_chunk(&prepared, &factory, job, plan, 1);
     sim_trace::metrics::set_enabled(true);
-    let hostile = run_chunk(&prepared, &factory, plan, usize::MAX);
+    let hostile = run_chunk(&prepared, &factory, job, plan, usize::MAX);
     sim_trace::metrics::set_enabled(false);
     assert_eq!(hostile, serial, "records are worker-count-invariant");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());

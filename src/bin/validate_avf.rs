@@ -26,7 +26,7 @@
 use sim_inject::{render_metrics, TrialPath};
 use sim_trace::metrics;
 use smt_avf::experiments::campaign::{
-    default_campaign, validate_workload, validate_workload_stored,
+    default_campaign, outcome_tally, resolve_workload, validate_workload, validate_workload_stored,
 };
 use smt_avf::{ExperimentScale, TraceSettings};
 use std::process::ExitCode;
@@ -220,21 +220,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let workload = match sim_workload::table2()
-        .into_iter()
-        .find(|w| w.name == opts.workload)
-    {
-        Some(w) => w,
-        None => {
-            eprintln!(
-                "unknown workload '{}'; Table 2 defines: {}",
-                opts.workload,
-                sim_workload::table2()
-                    .iter()
-                    .map(|w| w.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+    let workload = match resolve_workload(&opts.workload) {
+        Ok(w) => w,
+        Err(msg) => {
+            eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
@@ -292,14 +281,10 @@ fn main() -> ExitCode {
     let (start, end) = v.campaign.window;
     println!(
         "golden window: cycles [{start}, {end}), {} instructions committed\n",
-        v.ace.total_committed()
+        v.campaign.ace.total_committed()
     );
     print!("{}", v.render());
-    let masked: u64 = v.campaign.per_target.iter().map(|t| t.masked).sum();
-    let latent: u64 = v.campaign.per_target.iter().map(|t| t.latent).sum();
-    let sdc: u64 = v.campaign.per_target.iter().map(|t| t.sdc).sum();
-    let detected: u64 = v.campaign.per_target.iter().map(|t| t.detected).sum();
-    println!("\noutcomes: {masked} masked, {latent} latent, {sdc} SDC, {detected} detected");
+    println!("\n{}", outcome_tally(&v.campaign.per_target));
 
     print!("{}", render_metrics(metrics::global(), &campaign.targets));
 

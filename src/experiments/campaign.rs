@@ -10,12 +10,12 @@
 
 use crate::runner::{workload_generators, RunError};
 use crate::scale::ExperimentScale;
-use avf_core::{compare, AvfReport, ComparisonRow};
-use sim_inject::{run_campaign, CampaignConfig, CampaignResult, InjectError};
+use avf_core::{compare, ComparisonRow};
+use sim_inject::{run_campaign, CampaignConfig, CampaignResult, InjectError, TargetSummary};
 use sim_model::{FetchPolicyKind, MachineConfig};
 use sim_pipeline::SmtCore;
-use sim_store::{decode_record, GoldenFingerprint, JobSpec, Store, DEFAULT_CHUNK_TRIALS};
-use sim_workload::SmtWorkload;
+use sim_store::{JobSpec, Store, DEFAULT_CHUNK_TRIALS};
+use sim_workload::{table2, SmtWorkload};
 use std::path::Path;
 
 /// An error raised while cross-validating a workload.
@@ -54,16 +54,15 @@ impl From<InjectError> for ValidationError {
     }
 }
 
-/// The outcome of one cross-validation: the ACE report, the campaign,
+/// The outcome of one cross-validation: the campaign with its ACE report,
 /// and the paired comparison rows.
 #[derive(Debug)]
 pub struct SfiValidation {
     /// The validated workload.
     pub workload: SmtWorkload,
-    /// The ACE AVFs of the campaign's golden window: the report an
-    /// uninjected reference run of the same budget produces.
-    pub ace: AvfReport,
-    /// The completed injection campaign.
+    /// The completed injection campaign. Its `ace` is the ACE report of
+    /// the golden window: the report an uninjected reference run of the
+    /// same budget produces.
     pub campaign: CampaignResult,
     /// Per-structure SFI estimate paired with its ACE AVF.
     pub rows: Vec<ComparisonRow>,
@@ -79,6 +78,36 @@ impl SfiValidation {
     pub fn render(&self) -> String {
         avf_core::render(&self.rows)
     }
+}
+
+/// Look up a Table 2 workload by name.
+pub fn resolve_workload(name: &str) -> Result<SmtWorkload, String> {
+    table2()
+        .into_iter()
+        .find(|w| w.name == name)
+        .ok_or_else(|| {
+            format!(
+                "unknown workload '{name}'; Table 2 defines: {}",
+                table2()
+                    .iter()
+                    .map(|w| w.name.as_str())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        })
+}
+
+/// The campaign's outcome tally over every target, as one line without
+/// its newline: `outcomes: M masked, L latent, S SDC, D detected`.
+pub fn outcome_tally(per_target: &[TargetSummary]) -> String {
+    let sum = |f: fn(&TargetSummary) -> u64| per_target.iter().map(f).sum::<u64>();
+    format!(
+        "outcomes: {} masked, {} latent, {} SDC, {} detected",
+        sum(|t| t.masked),
+        sum(|t| t.latent),
+        sum(|t| t.sdc),
+        sum(|t| t.detected)
+    )
 }
 
 /// The standard campaign configuration for `workload`: `trials` injections
@@ -122,7 +151,6 @@ pub fn validate_workload(
     let rows = compare(&result.ace, &result.sfi_points());
     Ok(SfiValidation {
         workload: workload.clone(),
-        ace: result.ace.clone(),
         campaign: result,
         rows,
     })
@@ -184,28 +212,17 @@ pub fn validate_workload_stored(
     }
     // The result carries the ACE report: the prepared golden's, or the
     // stored one when the job had already finished.
-    let outcome = sim_store::run_campaign_stored(&store, &spec, &factory)
+    let outcome = sim_store::run_campaign_stored(&store, &spec, &factory, None)
         .map_err(|e| ValidationError::Store(e.to_string()))?;
-    // The golden window travels in the job's stored fingerprint (published
-    // by whichever run prepared the campaign first).
-    let golden_id = store
-        .get_ref(&sim_store::campaign::golden_ref(&job))
-        .map_err(|e| ValidationError::Store(e.to_string()))?
-        .ok_or_else(|| ValidationError::Store("job has a result but no golden".into()))?;
-    let golden: GoldenFingerprint = store
-        .get(&golden_id)
-        .map_err(|e| ValidationError::Store(e.to_string()))
-        .and_then(|b| decode_record(&b).map_err(|e| ValidationError::Store(e.to_string())))?;
     let result = CampaignResult {
         records: outcome.result.records,
-        window: (golden.golden.start, golden.golden.end),
+        window: outcome.window,
         per_target: outcome.result.per_target,
         ace: outcome.result.report,
     };
     let rows = compare(&result.ace, &result.sfi_points());
     Ok(SfiValidation {
         workload: workload.clone(),
-        ace: result.ace.clone(),
         campaign: result,
         rows,
     })
@@ -215,7 +232,6 @@ pub fn validate_workload_stored(
 mod tests {
     use super::*;
     use sim_inject::FaultTarget;
-    use sim_workload::table2;
 
     #[test]
     fn validation_pairs_every_target() {
@@ -233,7 +249,7 @@ mod tests {
         let v = validate_workload(&w, &cc).unwrap();
         assert_eq!(v.rows.len(), 2);
         assert_eq!(v.campaign.records.len(), 8);
-        assert!(v.ace.total_committed() > 0);
+        assert!(v.campaign.ace.total_committed() > 0);
         let text = v.render();
         assert!(text.contains("IQ") && text.contains("Reg"));
     }
