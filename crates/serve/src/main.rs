@@ -45,7 +45,9 @@ fn usage() -> String {
      \x20      [--worker-procs P] [--chunk N] [--scale quick|default]\n\
      \x20      [--checkpoints K] [--scalar] [--targets a,b,...]\n\
      \x20      [--name LABEL] [--enqueue QUEUE_DIR] [--no-metrics]\n\
-     \x20      (--checkpoints: golden snapshots trials restore from,\n\
+     \x20      (--worker-procs: compute streams, the parent's included,\n\
+     \x20      at most one per core.\n\
+     \x20      --checkpoints: golden snapshots trials restore from,\n\
      \x20      default 12, at most 64.\n\
      \x20      --scalar: one core per trial, the oracle the default lane\n\
      \x20      batching is proven against. In process only; not part of\n\
@@ -246,7 +248,7 @@ fn cmd_submit(flags: &Flags) -> Result<(), String> {
         spec.chunk_trials,
         match worker_procs {
             0 | 1 => "in-process".to_string(),
-            n => format!("{n} worker processes"),
+            n => format!("up to {n} compute streams"),
         },
     );
     let outcome = server::run_job(&store, &spec, worker_procs)?;

@@ -3,7 +3,9 @@
 //! ([`sim_store::run_campaign_stored`]), which plans, checks, publishes
 //! and assembles every chunk. This module keeps only the process side of
 //! sharding: spawning `sim-serve worker` processes, framing the protocol
-//! to them, reaping them, and their `serve.worker.*` metrics.
+//! to them, reaping them, and their spawn and frame counters. The parent
+//! is one of a job's compute streams, so `--worker-procs P` spawns at most
+//! P − 1 workers.
 //!
 //! The parent process is the store's single canonical writer: workers
 //! never touch disk, they stream completed chunks back over the
@@ -25,9 +27,12 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Instant;
 
-/// Run `spec` to completion against the store at `store_dir`, sharding
-/// across `worker_procs` spawned worker processes (0 or 1 = in-process).
-/// Idempotent and resumable: published chunks are never recomputed.
+/// Run `spec` to completion against the store at `store_dir` on
+/// `worker_procs` compute streams P, the parent's own included: the parent
+/// spawns up to P − 1 worker processes (none for P ≤ 1). P is capped at the
+/// host's available parallelism, so a large P never starts more golden
+/// passes than there are cores to run them. Idempotent and resumable:
+/// published chunks are never recomputed.
 pub fn run_job(
     store_dir: &Path,
     spec: &JobSpec,
@@ -37,8 +42,9 @@ pub fn run_job(
     let workload = resolve_workload(&spec.workload)?;
     let factory = campaign_factory(&workload).map_err(|e| e.to_string())?;
     let spawn = |index| spawn_worker(spec, index).map(|w| Box::new(w) as Box<dyn Shard>);
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let shards = Shards {
-        procs: worker_procs,
+        procs: worker_procs.min(host),
         spawn: &spawn,
     };
     let outcome =
@@ -117,20 +123,15 @@ impl Shard for Worker {
 
     fn run(&mut self, plan: ChunkPlan) -> Result<ChunkRecord, String> {
         let wi = self.index;
-        let t_chunk = metrics::enabled().then(Instant::now);
         write_frame(&mut self.stdin, &WorkerTask { plan })
             .map_err(|e| format!("worker {wi}: {e}"))?;
         let reply: WorkerChunk = read_frame(&mut self.stdout)
             .map_err(|e| format!("worker {wi}: {e}"))?
             .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?;
-        if let Some(t) = t_chunk {
-            // Dispatch→reply wall time is this worker's busy window: its
-            // driver thread does nothing else between the frames.
-            let us = micros_since(t);
-            let reg = metrics::global();
-            reg.histogram("serve.worker.chunk_us").observe(us);
-            reg.counter(&format!("serve.worker{wi}.busy_us")).add(us);
-            reg.counter(&format!("serve.worker{wi}.frames")).add(2);
+        if metrics::enabled() {
+            metrics::global()
+                .counter(&format!("serve.worker{wi}.frames"))
+                .add(2);
         }
         Ok(reply.chunk)
     }

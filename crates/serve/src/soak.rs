@@ -228,7 +228,7 @@ pub fn cmd_soak(flags: &Flags) -> Result<(), String> {
 
     // Phase 3: enqueue everything and drain with metrics on — the same
     // path `sim-serve serve --once` takes.
-    eprintln!("soak: draining {jobs} queued jobs ({worker_procs} worker procs)");
+    eprintln!("soak: draining {jobs} queued jobs ({worker_procs} compute streams)");
     for spec in &specs {
         crate::enqueue(&queue_dir, spec)?;
     }

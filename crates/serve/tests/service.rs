@@ -1,9 +1,10 @@
 //! Service-level equivalence tests, driven through the real `sim-serve`
 //! binary (the same code path CI's smoke step exercises):
 //!
-//! * **Shard equivalence** — the same job run in-process, with 1, 2 and
-//!   4 worker processes, into separate stores, publishes byte-identical
-//!   result objects (trial records, summaries, and ACE report included).
+//! * **Shard equivalence** — the same job run in-process and with
+//!   `--worker-procs` 1, 2 and 4 (compute streams, the parent included),
+//!   into separate stores, publishes byte-identical result objects (trial
+//!   records, summaries, and ACE report included).
 //! * **Crash-resume equivalence** — a run killed after its first
 //!   published chunk (`SIM_STORE_CRASH_AFTER_CHUNKS`, a `kill -9`
 //!   equivalent that leaves the writer lock behind) resumes to a result
@@ -17,10 +18,40 @@ use std::process::{Command, Output};
 
 const EXE: &str = env!("CARGO_BIN_EXE_sim-serve");
 
-fn fresh_dir(tag: &str) -> PathBuf {
+/// A path under the temp dir that is removed, with whatever the test put
+/// there, when dropped, also when the test panics.
+struct TempDir(PathBuf);
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TempDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<std::ffi::OsStr> for TempDir {
+    fn as_ref(&self) -> &std::ffi::OsStr {
+        self.0.as_os_str()
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn fresh_dir(tag: &str) -> TempDir {
     let dir = std::env::temp_dir().join(format!("sim-serve-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    TempDir(dir)
 }
 
 /// The quick campaign every test submits: tiny but real (two targets,
@@ -92,7 +123,7 @@ fn sharding_does_not_change_a_single_byte() {
         assert_eq!(
             result_bytes(&dir),
             reference,
-            "{procs} worker processes changed the result bytes"
+            "--worker-procs {procs} changed the result bytes"
         );
     }
 }
@@ -535,8 +566,23 @@ fn resume_with_every_chunk_published_spawns_no_worker() {
     assert_eq!(object_and_ref_bytes(&dir), reference);
 }
 
+/// The host's available parallelism, which caps `--worker-procs`.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Worker processes a submit spawned, from its metrics snapshot.
+fn spawns(store: &Path) -> u64 {
+    submit_counters(store)
+        .get("serve.worker.spawns")
+        .copied()
+        .unwrap_or(0)
+}
+
 #[test]
 fn a_fresh_sharded_job_spawns_one_worker_per_process() {
+    // P counts the parent: three chunks on two streams is one worker
+    // process next to the parent (none on a one-core host).
     let dir = fresh_dir("spawns");
     let out = submit(&dir, &[], 2);
     assert!(
@@ -544,11 +590,41 @@ fn a_fresh_sharded_job_spawns_one_worker_per_process() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(
-        submit_counters(&dir).get("serve.worker.spawns"),
-        Some(&2),
-        "three chunks, two worker processes"
-    );
+    assert_eq!(spawns(&dir), 2.min(host_cores()) as u64 - 1);
+}
+
+#[test]
+fn a_sharded_resume_with_one_missing_chunk_spawns_no_worker() {
+    let clean = fresh_dir("one-missing-clean");
+    assert!(submit(&clean, &[], 1).status.success());
+    let reference = object_and_ref_bytes(&clean);
+
+    // Two of the three chunks published: the parent computes the last one
+    // alone.
+    let dir = fresh_dir("one-missing");
+    let out = submit(&dir, &[("SIM_STORE_CRASH_AFTER_CHUNKS", "2")], 1);
+    assert!(!out.status.success(), "crash hook must fire");
+    let out = submit(&dir, &[], 4);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("2 chunks resumed, 1 computed"), "{stderr}");
+    assert_eq!(spawns(&dir), 0, "one missing chunk: the parent alone");
+    assert_eq!(object_and_ref_bytes(&dir), reference);
+}
+
+#[test]
+fn a_sharded_job_caps_worker_procs_at_the_host_cores() {
+    // Eight chunks of one trial on far more streams than cores: the host
+    // caps P, so at most seven workers start on any host.
+    let dir = fresh_dir("clamp");
+    let out = submit_cmd(&dir)
+        .args(["--chunk", "1", "--worker-procs", "1000"])
+        .output()
+        .expect("spawn sim-serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("0 chunks resumed, 8 computed"), "{stderr}");
+    assert_eq!(spawns(&dir), host_cores().min(8) as u64 - 1);
 }
 
 /// Pids of live processes whose environment holds `var` (Linux `/proc`).
@@ -626,7 +702,7 @@ fn golden_divergence_fails_the_sharded_job_and_reaps_every_worker() {
 /// the cycles `start + span·i/K`, each with the digest of a freshly warmed
 /// core stepped there. Returns the store, that fingerprint, and the cycles
 /// the current plan captures.
-fn old_plan_store(tag: &str) -> (PathBuf, sim_store::GoldenFingerprint, Vec<u64>) {
+fn old_plan_store(tag: &str) -> (TempDir, sim_store::GoldenFingerprint, Vec<u64>) {
     use sim_store::{
         campaign::golden_ref, decode_record, CoreSnapshot, GoldenFingerprint, JobSpec,
     };

@@ -29,10 +29,11 @@
 //! # One driver
 //!
 //! Every stored job runs through [`run_campaign_stored`], which owns the
-//! whole lifecycle and its one chunk loop. The caller only picks where
-//! chunks are computed: in this process with [`run_chunk`], or on
-//! [`Shards`] (`sim-serve` worker processes) that greet the driver with
-//! their golden fingerprint and answer chunk plans.
+//! whole lifecycle and its one chunk loop. The parent is one of the job's
+//! compute streams: it computes chunks in this process with [`run_chunk`]
+//! on the campaign it prepared, next to any [`Shards`] (`sim-serve`
+//! worker processes) that greet the driver with their golden fingerprint
+//! and answer chunk plans. Every stream runs the same loop.
 
 use crate::codec::Codec;
 use crate::record::{decode_record, encode_record, CodecError};
@@ -44,6 +45,7 @@ use sim_inject::{
     summarize, CampaignConfig, InjectError, PreparedCampaign, TargetSummary, TrialRecord,
 };
 use sim_pipeline::SmtCore;
+use sim_trace::metrics;
 use sim_workload::InstSource;
 use std::collections::VecDeque;
 use std::fmt;
@@ -328,7 +330,9 @@ pub trait Shard: Send {
 
 /// The shards a stored job may spread its missing chunks over.
 pub struct Shards<'a> {
-    /// Worker-process count P; with P ≤ 1 the parent computes every chunk.
+    /// Compute-stream count P, the parent's own stream included: the
+    /// driver starts `min(P, missing chunks) − 1` shards, so with P ≤ 1, or
+    /// one missing chunk, the parent computes alone.
     pub procs: usize,
     /// Start shard `i` of the job being run.
     pub spawn: &'a dyn Fn(usize) -> Result<Box<dyn Shard>, String>,
@@ -375,7 +379,6 @@ fn load_chunk(
 
 /// Publish `chunk` and point its ref at it.
 fn store_chunk(store: &Store, chunk: &ChunkRecord) -> Result<(), CampaignStoreError> {
-    use sim_trace::metrics;
     let t = metrics::enabled().then(Instant::now);
     let id = store.put(&encode_record(chunk))?;
     store.set_ref(&chunk_ref(&chunk.job, chunk.index), &id)?;
@@ -405,13 +408,13 @@ fn maybe_crash_after(fresh: usize) {
 
 /// Prepare `spec`'s campaign and reconcile it with the store: publish the
 /// spec, then publish or verify the golden fingerprint (fail closed on
-/// divergence with a previous run). Returns the campaign and the
-/// fingerprint this process rebuilt.
+/// divergence with a previous run). Returns the campaign and the encoding
+/// of the fingerprint this process rebuilt.
 fn prepare_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
     factory: &F,
-) -> Result<(PreparedCampaign<S>, GoldenFingerprint), CampaignStoreError>
+) -> Result<(PreparedCampaign<S>, Vec<u8>), CampaignStoreError>
 where
     S: InstSource + Clone,
     F: Fn() -> SmtCore<S>,
@@ -419,6 +422,7 @@ where
     let job = spec.id();
     let prepared = PreparedCampaign::prepare(factory, &spec.cfg)?;
     let fingerprint = GoldenFingerprint::of(&prepared);
+    let encoded = encode_record(&fingerprint);
     let spec_id = store.put(&encode_record(spec))?;
     store.set_ref(&spec_ref(&job), &spec_id)?;
     match store.get_ref(&golden_ref(&job))? {
@@ -436,7 +440,7 @@ where
                 .iter()
                 .map(|c| c.cycle)
                 .eq(fingerprint.checkpoints.iter().map(|c| c.cycle));
-            if same_plan && id != ObjectId::of(&encode_record(&fingerprint)) {
+            if same_plan && id != ObjectId::of(&encoded) {
                 return Err(CampaignStoreError::Diverged(
                     "stored golden fingerprint encodes differently from the rebuilt one"
                         .to_string(),
@@ -444,64 +448,49 @@ where
             }
         }
         None => {
-            let id = store.put(&encode_record(&fingerprint))?;
+            let id = store.put(&encoded)?;
             store.set_ref(&golden_ref(&job), &id)?;
         }
     }
-    Ok((prepared, fingerprint))
+    Ok((prepared, encoded))
 }
 
-/// The chunk loop: take chunks off `queue` until it is empty, get each
-/// from `compute`, check it against its plan, publish it, and fire the
-/// crash hook. Each shard runs its own loop on its own thread.
+/// The chunk loop of one compute stream: starting with `first`, then
+/// taking chunks off `queue` until it is empty, get each from `compute`
+/// (timed as `serve.worker.chunk_us`), check it against its plan, publish
+/// it, and fire the crash hook. On any failure the queue is emptied, so
+/// the other streams stop at their next chunk.
 fn publish_chunks(
     store: &Store,
     job: &ObjectId,
     queue: &Mutex<VecDeque<ChunkPlan>>,
     fresh: &AtomicUsize,
+    mut first: Option<ChunkPlan>,
     mut compute: impl FnMut(ChunkPlan) -> Result<ChunkRecord, CampaignStoreError>,
 ) -> Result<(), CampaignStoreError> {
-    loop {
-        let Some(plan) = queue.lock().expect("chunk queue").pop_front() else {
-            return Ok(());
-        };
+    let mut publish = |plan: ChunkPlan| {
+        let t = metrics::enabled().then(Instant::now);
         let chunk = compute(plan)?;
+        if let Some(t) = t {
+            metrics::global()
+                .histogram("serve.worker.chunk_us")
+                .observe(metrics::micros_since(t));
+        }
         check_chunk(&chunk, job, plan)?;
         store_chunk(store, &chunk)?;
         maybe_crash_after(fresh.fetch_add(1, Ordering::Relaxed) + 1);
-    }
-}
-
-/// Greet `shard`, then run the chunk loop on it and shut it down. On any
-/// failure the queue is emptied, so the other shards stop at their next
-/// chunk.
-fn drive_shard(
-    index: usize,
-    mut shard: Box<dyn Shard>,
-    expected: &[u8],
-    store: &Store,
-    job: &ObjectId,
-    queue: &Mutex<VecDeque<ChunkPlan>>,
-    fresh: &AtomicUsize,
-) -> Result<(), CampaignStoreError> {
-    let mut drive = || {
-        let greeting = shard.greet().map_err(CampaignStoreError::Shard)?;
-        if encode_record(&greeting) != expected {
-            return Err(CampaignStoreError::Diverged(format!(
-                "shard {index} rebuilt a different golden state than the parent; \
-                 refusing to shard across divergent machines"
-            )));
-        }
-        publish_chunks(store, job, queue, fresh, |plan| {
-            shard.run(plan).map_err(CampaignStoreError::Shard)
-        })
+        Ok(())
     };
-    let driven = drive();
-    if driven.is_err() {
-        queue.lock().expect("chunk queue").clear();
-        return driven;
+    while let Some(plan) = first
+        .take()
+        .or_else(|| queue.lock().expect("chunk queue").pop_front())
+    {
+        if let Err(e) = publish(plan) {
+            queue.lock().expect("chunk queue").clear();
+            return Err(e);
+        }
     }
-    shard.finish().map_err(CampaignStoreError::Shard)
+    Ok(())
 }
 
 /// The finished-result shortcut: `result` is already published. The
@@ -532,11 +521,13 @@ fn finished(
 /// Run `spec` against `store`: the one driver of every stored job
 /// (DESIGN.md §5h, "Job timeline"). Returns the published result if there
 /// is one, checked before and again under the writer lock; otherwise scans
-/// the published chunks, starts `min(P, missing)` shards before the
-/// parent's golden pass (none when P ≤ 1), prepares and fingerprints the
-/// campaign, runs the chunk loop, and assembles the result from the
-/// store. Any failure fails the job closed and drops every started shard;
-/// a rerun after any interruption produces byte-identical records.
+/// the published chunks, starts `min(P, missing) − 1` shards before the
+/// parent's golden pass, prepares and fingerprints the campaign, checks
+/// every shard's greeting against it (accepting a greeting assigns the
+/// shard its first chunk), runs one chunk loop per compute stream, the
+/// parent's included, and assembles the result from the store. Any
+/// failure fails the job closed and drops every started shard; a rerun
+/// after any interruption produces byte-identical records.
 pub fn run_campaign_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
@@ -566,37 +557,50 @@ where
     }
     let computed_chunks = missing.len();
     let computed_trials = missing.iter().map(|p| p.len).sum();
-    let mut started_shards = Vec::new();
-    if let Some(Shards { procs, spawn }) = shards.filter(|s| s.procs > 1) {
-        for i in 0..procs.min(missing.len()) {
-            started_shards.push(spawn(i).map_err(CampaignStoreError::Shard)?);
+    let mut spawned = Vec::new();
+    if let Some(Shards { procs, spawn }) = shards {
+        for i in 0..procs.min(missing.len()).saturating_sub(1) {
+            spawned.push(spawn(i).map_err(CampaignStoreError::Shard)?);
         }
     }
 
-    let (prepared, fingerprint) = prepare_stored(store, spec, factory)?;
-    let expected = (!started_shards.is_empty()).then(|| encode_record(&fingerprint));
-    drop(fingerprint);
-    let queue = Mutex::new(missing);
-    let fresh = AtomicUsize::new(0);
-    match &expected {
-        None => publish_chunks(store, &job, &queue, &fresh, |plan| {
-            Ok(run_chunk(&prepared, factory, job, plan, spec.cfg.workers))
-        })?,
-        Some(expected) => std::thread::scope(|scope| {
-            let (queue, fresh, job) = (&queue, &fresh, &job);
-            let lanes: Vec<_> = started_shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, shard)| {
-                    scope.spawn(move || drive_shard(i, shard, expected, store, job, queue, fresh))
-                })
-                .collect();
-            lanes
-                .into_iter()
-                .map(|lane| lane.join().expect("shard thread panicked"))
-                .fold(Ok(()), Result::and)
-        })?,
+    let (prepared, expected) = prepare_stored(store, spec, factory)?;
+    let mut greeted = Vec::with_capacity(spawned.len());
+    for (i, mut shard) in spawned.into_iter().enumerate() {
+        let greeting = shard.greet().map_err(CampaignStoreError::Shard)?;
+        if encode_record(&greeting) != expected {
+            return Err(CampaignStoreError::Diverged(format!(
+                "shard {i} rebuilt a different golden state than the parent; \
+                 refusing to shard across divergent machines"
+            )));
+        }
+        // Fewer shards than missing chunks: each gets one, the parent keeps
+        // at least one.
+        let first = missing.pop_front().expect("a chunk per started shard");
+        greeted.push((shard, first));
     }
+    let queue = &Mutex::new(missing);
+    let fresh = &AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let streams: Vec<_> = greeted
+            .into_iter()
+            .map(|(mut shard, first)| {
+                scope.spawn(move || {
+                    publish_chunks(store, &job, queue, fresh, Some(first), |plan| {
+                        shard.run(plan).map_err(CampaignStoreError::Shard)
+                    })?;
+                    shard.finish().map_err(CampaignStoreError::Shard)
+                })
+            })
+            .collect();
+        let parent = publish_chunks(store, &job, queue, fresh, None, |plan| {
+            Ok(run_chunk(&prepared, factory, job, plan, spec.cfg.workers))
+        });
+        streams
+            .into_iter()
+            .map(|stream| stream.join().expect("shard thread panicked"))
+            .fold(parent, Result::and)
+    })?;
 
     let result = assemble_result(store, &job, spec, &plans, prepared.ace_report().clone())?;
     let golden = prepared.golden();

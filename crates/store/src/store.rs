@@ -621,10 +621,28 @@ impl Store {
 mod tests {
     use super::*;
 
-    fn tmp_store(tag: &str) -> Store {
+    /// A store under the temp dir that removes itself when dropped, also
+    /// when the test panics.
+    struct TmpStore(Store);
+
+    impl std::ops::Deref for TmpStore {
+        type Target = Store;
+
+        fn deref(&self) -> &Store {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpStore {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(self.0.root());
+        }
+    }
+
+    fn tmp_store(tag: &str) -> TmpStore {
         let dir = std::env::temp_dir().join(format!("sim-store-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        Store::open(dir).unwrap()
+        TmpStore(Store::open(dir).unwrap())
     }
 
     #[test]

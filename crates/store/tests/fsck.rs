@@ -4,14 +4,14 @@
 
 use sim_inject::{CampaignConfig, TrialPath, TrialRecord};
 use sim_pipeline::{FaultTarget, Landing, SimBudget};
+mod common;
+
+use common::TempStore;
 use sim_store::{encode_record, ChunkRecord, CoreSnapshot, JobSpec, ObjectId, Store};
 use std::fs;
-use std::path::PathBuf;
 
-fn fresh_store(tag: &str) -> (Store, PathBuf) {
-    let dir = std::env::temp_dir().join(format!("sim-store-fsck-{}-{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    (Store::open(&dir).unwrap(), dir)
+fn fresh_store(tag: &str) -> TempStore {
+    common::fresh_store("fsck", tag)
 }
 
 fn sample_spec() -> JobSpec {
@@ -74,7 +74,7 @@ fn populate(store: &Store) -> Vec<ObjectId> {
 
 #[test]
 fn clean_store_is_clean() {
-    let (store, _) = fresh_store("clean");
+    let store = fresh_store("clean");
     populate(&store);
     let report = store.fsck().unwrap();
     assert!(report.is_clean(), "{:?}", report.errors);
@@ -84,7 +84,8 @@ fn clean_store_is_clean() {
 
 #[test]
 fn flipped_bit_truncation_and_dangles_are_each_reported() {
-    let (store, root) = fresh_store("dirty");
+    let store = fresh_store("dirty");
+    let root = &store.root;
     let ids = populate(&store);
     let path_of = |id: &ObjectId| {
         let hex = id.to_hex();
@@ -131,7 +132,8 @@ fn flipped_bit_truncation_and_dangles_are_each_reported() {
 
 #[test]
 fn corrupt_object_fails_closed_on_direct_read_too() {
-    let (store, root) = fresh_store("read");
+    let store = fresh_store("read");
+    let root = &store.root;
     let ids = populate(&store);
     let hex = ids[2].to_hex();
     let p = root.join("objects").join(&hex[..2]).join(&hex[2..]);

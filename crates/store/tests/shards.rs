@@ -1,9 +1,13 @@
-//! The stored-job driver against fake in-memory shards: an honest shard
-//! publishes the bytes an unsharded run does, a reply for the wrong chunk
-//! slot fails the job before it is published, and a shard whose greeting
-//! carries another golden fingerprint fails the job before it is sent a
-//! single chunk.
+//! The stored-job driver against fake in-memory shards, next to the
+//! parent's own compute stream: an honest shard publishes the bytes an
+//! unsharded run does, a reply for the wrong chunk slot fails the job
+//! before that reply or a result is published, and a shard whose greeting
+//! carries another golden fingerprint fails the job before any stream is
+//! handed a single chunk.
 
+mod common;
+
+use common::TempStore;
 use sim_inject::{CampaignConfig, PreparedCampaign};
 use sim_model::MachineConfig;
 use sim_pipeline::{FaultTarget, SimBudget, SmtCore};
@@ -13,7 +17,7 @@ use sim_store::{
     JobSpec, Shard, Shards, Store,
 };
 use sim_workload::{profile, TraceGenerator};
-use std::path::PathBuf;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -41,28 +45,8 @@ fn spec() -> JobSpec {
     }
 }
 
-/// A fresh store under the temp dir, deleted again when dropped.
-struct TempStore(PathBuf, Store);
-
-impl std::ops::Deref for TempStore {
-    type Target = Store;
-
-    fn deref(&self) -> &Store {
-        &self.1
-    }
-}
-
-impl Drop for TempStore {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 fn fresh_store(tag: &str) -> TempStore {
-    let dir = std::env::temp_dir().join(format!("sim-store-shards-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = Store::open(&dir).expect("open store");
-    TempStore(dir, store)
+    common::fresh_store("shards", tag)
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -105,7 +89,8 @@ impl Shard for Fake {
     }
 }
 
-/// Run the job into a fresh store over two fake shards.
+/// Run the job into a fresh store on two compute streams: the parent and
+/// one fake shard.
 fn run_sharded(
     tag: &str,
     fault: Fault,
@@ -135,6 +120,25 @@ fn run_sharded(
     (store, outcome, tasks)
 }
 
+/// The job run in process alone, the reference every sharded run must
+/// publish the bytes of.
+fn unsharded(tag: &str) -> (TempStore, sim_store::StoredOutcome) {
+    let store = fresh_store(tag);
+    let outcome = run_campaign_stored(&store, &spec(), &factory, None).expect("in-process run");
+    (store, outcome)
+}
+
+/// The bytes of every chunk the job published, by ref name.
+fn chunks(store: &Store) -> BTreeMap<String, Vec<u8>> {
+    let job = spec().id();
+    store
+        .refs(&format!("jobs/{job}/chunks/"))
+        .unwrap()
+        .into_iter()
+        .map(|(name, id)| (name, store.get(&id).unwrap()))
+        .collect()
+}
+
 /// Refs the job published under `jobs/<id>/chunks/` and its result ref.
 fn published(store: &Store) -> (usize, bool) {
     let job = spec().id();
@@ -146,11 +150,12 @@ fn published(store: &Store) -> (usize, bool) {
 #[test]
 fn an_honest_shard_publishes_the_unsharded_result_bytes() {
     let spec = spec();
-    let local = fresh_store("local");
-    let alone = run_campaign_stored(&local, &spec, &factory, None).expect("in-process run");
+    let (local, alone) = unsharded("local");
     let (sharded, outcome, tasks) = run_sharded("honest", Fault::None);
     let outcome = outcome.expect("sharded run");
-    assert_eq!(tasks, 3, "one task per chunk");
+    // Accepting the greeting assigned the shard its first chunk; how many
+    // more it claims next to the parent depends on scheduling.
+    assert!(tasks >= 1, "every started shard computes a chunk");
     assert_eq!(
         (
             outcome.resumed_chunks,
@@ -169,12 +174,19 @@ fn an_honest_shard_publishes_the_unsharded_result_bytes() {
 
 #[test]
 fn a_reply_for_the_wrong_slot_fails_closed_and_publishes_nothing() {
+    let (local, _) = unsharded("wrong-slot-local");
     let (store, outcome, _) = run_sharded("wrong-slot", Fault::WrongSlot);
     match outcome {
         Err(CampaignStoreError::Diverged(msg)) => assert!(msg.contains("chunk "), "{msg}"),
         other => panic!("expected Diverged, got {other:?}"),
     }
-    assert_eq!(published(&store), (0, false));
+    assert!(!published(&store).1, "a failed job publishes no result");
+    // The parent's stream may have published chunks before the lie was
+    // caught; nothing of the lying shard's reached the store.
+    let honest = chunks(&local);
+    for (name, bytes) in chunks(&store) {
+        assert_eq!(Some(&bytes), honest.get(&name), "{name}");
+    }
 }
 
 #[test]

@@ -11,7 +11,8 @@
 #   4. Stores A and B must be byte-identical (objects AND refs): a kill
 #      -9 changed nothing about the final bytes.
 #   4a. A --worker-procs 2 submit into store G must be byte-identical to
-#      store A too: sharding changes nothing about the bytes.
+#      store A too: sharding changes nothing about the bytes. P counts the
+#      parent's own compute stream, so it spawns exactly one worker.
 #   4b. Crash an in-process submit into store H right after its last
 #      chunk is published, then resubmit with --worker-procs 2: the
 #      resume only assembles, spawns no worker, and store H is
@@ -66,9 +67,9 @@ echo "==> service smoke: sharded submit is byte-identical to in-process"
 "${SERVE[@]}" "${SUBMIT[@]}" --worker-procs 2 --store "$G"
 diff -r "$A/objects" "$G/objects"
 diff -r "$A/refs" "$G/refs"
-grep -q '"serve.worker.spawns": {"type": "counter", "value": 2}' \
+grep -q '"serve.worker.spawns": {"type": "counter", "value": 1}' \
     "$G/metrics/submit.json" || {
-  echo "a fresh sharded job should spawn 2 workers" >&2
+  echo "a fresh sharded job should spawn 1 worker next to the parent" >&2
   exit 1
 }
 

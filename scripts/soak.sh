@@ -15,7 +15,7 @@
 #   SOAK_DIR          work directory (default: fresh mktemp, removed on exit)
 #   SOAK_JOBS         queued jobs                      (default 6)
 #   SOAK_CRASH_JOBS   jobs crashed mid-write first     (default 2)
-#   SOAK_WORKER_PROCS worker processes for the drain   (default 2)
+#   SOAK_WORKER_PROCS compute streams, parent included (default 2)
 #   SOAK_TRIALS       trials per structure per job     (default 4)
 #   SOAK_SLO_P99_MS   p99 submit→result ceiling        (default 600000)
 #   SOAK_SLO_RESUME_MS max crashed-job resume ceiling  (default 300000)
