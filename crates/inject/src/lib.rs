@@ -69,6 +69,7 @@ use sim_pipeline::{LaneBatch, SimBudget, SmtCore, Strike};
 use sim_trace::metrics::{self, MetricsRegistry};
 use sim_workload::InstSource;
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 
 /// An error preparing or executing a fault-injection campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,7 +287,7 @@ impl TrialPath {
     }
 
     /// The clamped lane width; `None` off the batched path.
-    fn lanes(self) -> Option<usize> {
+    pub fn lanes(self) -> Option<usize> {
         match self {
             TrialPath::Batched { lanes } => Some(lanes.clamp(1, 64)),
             _ => None,
@@ -1141,16 +1142,15 @@ impl<S: InstSource + Clone> PreparedCampaign<S> {
     }
 }
 
-/// Group the trial range `[start, start + len)` into lane batches: one
-/// global order by `(injection cycle, index)`, chunked into groups of at
-/// most `lanes` — a batch's follower visits each lane's injection cycle
-/// in nondecreasing order. A pure function of the prepared state, so the
+/// Group the trials `indices` into lane batches: one global order by
+/// `(injection cycle, index)`, chunked into groups of at most `lanes` — a
+/// batch's follower visits each lane's injection cycle in nondecreasing
+/// order. A pure function of the prepared state and the index set, so the
 /// batch plan (and with it every record) is identical for any worker
 /// count.
 fn plan_batches<S: InstSource + Clone>(
     prepared: &PreparedCampaign<S>,
-    start: usize,
-    len: usize,
+    indices: &[usize],
     lanes: usize,
 ) -> Vec<Vec<usize>> {
     // One global cycle order, chunked to the lane width. Batches
@@ -1160,13 +1160,15 @@ fn plan_batches<S: InstSource + Clone>(
     // through. Splitting at interval boundaries (the previous plan) made
     // each group replay its own tail to the commit target — latent
     // riders hold the follower there — which multiplied the shared
-    // stepping bill by the number of occupied intervals.
+    // stepping bill by the number of occupied intervals. Batches span
+    // the ranges of a multi-range call for the same reason.
     debug_assert!(
         prepared.checkpointed.is_some(),
         "batched planning requires the checkpointed golden path"
     );
-    let mut order: Vec<(u64, usize)> = (start..start + len)
-        .map(|i| (prepared.sample(i).cycle, i))
+    let mut order: Vec<(u64, usize)> = indices
+        .iter()
+        .map(|&i| (prepared.sample(i).cycle, i))
         .collect();
     order.sort_unstable();
     order
@@ -1516,34 +1518,53 @@ fn run_one_batch<S: InstSource + Clone>(
     (resolved, stats, tails)
 }
 
-/// Execute the trial range `[start, start + len)` on the prepared
-/// campaign's [`TrialPath`], returning execs in trial-index order plus the
-/// worker pool's scheduling stats and the lane engine's per-target
-/// classification tally. Every path gives the same records at any worker
-/// count, because results scatter by global index. The batched path runs
-/// two pool phases over the same workers: phase 1 runs the lane batches,
-/// one job each; phase 2 runs the forked trials' scalar tails, one job
-/// per distinct `(fault, cycle)` key ([`plan_tails`]), so a batch's forks
-/// no longer run serially behind one worker. Every other path runs one
-/// trial per job. The pool stats sum both phases per worker. The tally
-/// is `None` off the batched path (or for an empty range); otherwise it
-/// is deterministic — batches merge in plan order and tails in job
-/// order, neither of which a worker count can reshuffle.
+/// Execute the trials in `ranges` on the prepared campaign's
+/// [`TrialPath`], returning execs in the ranges' order (each range in
+/// ascending index) plus the worker pool's scheduling stats and the lane
+/// engine's per-target classification tally. The ranges must ascend and
+/// must not overlap; they may leave holes, the shape a resume's missing
+/// chunks take. Every path gives the same records for any set of ranges
+/// and at any worker count, because trial `i` depends only on the
+/// prepared state and `i`, and results scatter by global index. The
+/// batched path plans lane batches over the union of the ranges, so one
+/// follower walk can carry trials of several ranges; it runs two pool
+/// phases over the same workers: phase 1 runs the lane batches, one job
+/// each; phase 2 runs the forked trials' scalar tails, one job per
+/// distinct `(fault, cycle)` key ([`plan_tails`]), so a batch's forks
+/// never run serially behind one worker. Every other path runs one trial
+/// per job. The pool stats sum both phases per worker. The tally is
+/// `None` off the batched path (or for an empty set); otherwise it is
+/// deterministic — batches merge in plan order and tails in job order,
+/// neither of which a worker count can reshuffle. How the trials split
+/// into ranges can move trials between lane classes' diagnostics (a
+/// `deduped` tail shares a key across ranges), never a record.
 ///
 /// This is the one producer of campaign diagnostics: when
 /// [`metrics::enabled`], each call publishes its tallies into
 /// [`metrics::global`] (see [`render_metrics`] for the names).
-pub fn run_trials_batched_full<S, F>(
+///
+/// # Panics
+/// Panics if the ranges overlap or do not ascend, or reach past
+/// [`PreparedCampaign::total_trials`].
+pub fn run_trials<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
-    start: usize,
-    len: usize,
+    ranges: &[Range<usize>],
     workers: usize,
 ) -> (Vec<TrialExec>, sim_exec::PoolStats, Option<LaneStats>)
 where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
 {
+    let indices: Vec<usize> = ranges.iter().cloned().flatten().collect();
+    assert!(
+        indices.windows(2).all(|w| w[0] < w[1]),
+        "trial ranges must ascend and must not overlap"
+    );
+    // Position of trial `i` in the returned execs.
+    let slot = |i: usize| indices.binary_search(&i).expect("a trial of the ranges");
+    let len = indices.len();
+
     // Heartbeat bookkeeping (stderr only; results are unaffected).
     let t0 = std::time::Instant::now();
     let completed = std::sync::atomic::AtomicU64::new(0);
@@ -1563,7 +1584,7 @@ where
 
     let (execs, pool, lane_stats) = match path.lanes() {
         Some(lanes) if len > 0 => {
-            let batches = plan_batches(prepared, start, len, lanes);
+            let batches = plan_batches(prepared, &indices, lanes);
             let (per_batch, mut pool) = sim_exec::run_indexed_stats(batches.len(), workers, |b| {
                 let batch = run_one_batch(prepared, &batches[b]);
                 heartbeat(batch.0.len() as u64);
@@ -1576,7 +1597,7 @@ where
                 lane_stats.merge(&batch_stats);
                 tails.extend(batch_tails);
                 for (i, exec) in resolved {
-                    out[i - start] = Some(exec);
+                    out[slot(i)] = Some(exec);
                 }
             }
 
@@ -1595,17 +1616,17 @@ where
             let (resolved, tail_stats) = fold_tails(&jobs, &runs);
             lane_stats.merge(&tail_stats);
             for (i, run) in resolved {
-                out[i - start] = Some(prepared.exec(i, &prepared.sample(i), run));
+                out[slot(i)] = Some(prepared.exec(i, &prepared.sample(i), run));
             }
             let execs = out
                 .into_iter()
-                .map(|o| o.expect("batches and tails tile the trial range"))
+                .map(|o| o.expect("batches and tails tile the trial set"))
                 .collect();
             (execs, pool, Some(lane_stats))
         }
         _ => {
-            let (execs, pool) = sim_exec::run_indexed_stats(len, workers, |i| {
-                let exec = prepared.run_index(factory, start + i);
+            let (execs, pool) = sim_exec::run_indexed_stats(len, workers, |k| {
+                let exec = prepared.run_index(factory, indices[k]);
                 heartbeat(1);
                 exec
             });
@@ -1622,6 +1643,26 @@ where
         );
     }
     (execs, pool, lane_stats)
+}
+
+/// [`run_trials`] over the one range `[start, start + len)`.
+pub fn run_trials_batched_full<S, F>(
+    prepared: &PreparedCampaign<S>,
+    factory: &F,
+    start: usize,
+    len: usize,
+    workers: usize,
+) -> (Vec<TrialExec>, sim_exec::PoolStats, Option<LaneStats>)
+where
+    S: InstSource + Clone + Sync,
+    F: Fn() -> SmtCore<S> + Sync,
+{
+    run_trials(
+        prepared,
+        factory,
+        std::slice::from_ref(&(start..start + len)),
+        workers,
+    )
 }
 
 /// Fold one executor call into `registry`. Counters accumulate across
@@ -1666,7 +1707,7 @@ fn publish_metrics(
     }
 }
 
-/// Render the campaign diagnostics [`run_trials_batched_full`] published
+/// Render the campaign diagnostics [`run_trials`] published
 /// into `registry`: a `campaign:` throughput line, a `restores:` line when
 /// any trial restored a snapshot, and a `lane probe classes` line with
 /// one row per target in `targets` when any trial ran batched. Each line

@@ -60,7 +60,7 @@ fn batched_campaign_matches_scalar_oracle_at_every_lane_and_worker_count() {
 
 #[test]
 fn batched_trial_range_matches_scalar_execs_including_metrics() {
-    // run_trials_batched_full is the store's chunk entry point: hold a
+    // run_trials_batched_full is the executor over one trial range: hold a
     // chunk's worth of TrialExecs (records *and* the early-exit /
     // restore-distance diagnostics) to the scalar path, over an offset
     // range so the start/len plumbing is exercised too.

@@ -10,15 +10,16 @@
 //! The parent process is the store's single canonical writer: workers
 //! never touch disk, they stream completed chunks back over the
 //! [`protocol`](crate::protocol) and the parent publishes them. Killing
-//! the parent (or any worker) at any point loses at most the in-flight
-//! chunks; a rerun of the same spec resumes from the published ones and
-//! finishes with byte-identical results.
+//! the parent (or any worker) at any point loses at most the claim each
+//! stream holds (one lane batch of trials); a rerun of the same spec
+//! resumes from the published chunks and finishes with byte-identical
+//! results.
 
 use crate::protocol::{read_frame, write_frame, WorkerChunk, WorkerReady, WorkerTask};
 use sim_inject::PreparedCampaign;
 use sim_store::{
-    decode_record, run_campaign_stored, run_chunk, ChunkPlan, ChunkRecord, GoldenFingerprint,
-    JobSpec, ObjectId, Shard, Shards, Store, StoredOutcome,
+    check_claim, decode_record, run_campaign_stored, run_chunks, ChunkPlan, ChunkRecord,
+    GoldenFingerprint, JobSpec, ObjectId, Shard, Shards, Store, StoredOutcome,
 };
 use sim_trace::metrics::{self, micros_since};
 use smt_avf::experiments::campaign::{campaign_factory, resolve_workload};
@@ -77,7 +78,7 @@ impl Drop for Reaped {
 }
 
 /// One spawned worker process and its protocol streams: the
-/// [`Shard`] the driver hands chunks to. The process is the first field,
+/// [`Shard`] the driver hands claims to. The process is the first field,
 /// so it is killed before its pipes close.
 struct Worker {
     child: Reaped,
@@ -121,19 +122,25 @@ impl Shard for Worker {
         Ok(ready.fingerprint)
     }
 
-    fn run(&mut self, plan: ChunkPlan) -> Result<ChunkRecord, String> {
+    fn run(&mut self, claim: &[ChunkPlan]) -> Result<Vec<ChunkRecord>, String> {
         let wi = self.index;
-        write_frame(&mut self.stdin, &WorkerTask { plan })
-            .map_err(|e| format!("worker {wi}: {e}"))?;
-        let reply: WorkerChunk = read_frame(&mut self.stdout)
-            .map_err(|e| format!("worker {wi}: {e}"))?
-            .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?;
+        let task = WorkerTask {
+            plans: claim.to_vec(),
+        };
+        write_frame(&mut self.stdin, &task).map_err(|e| format!("worker {wi}: {e}"))?;
+        let mut chunks = Vec::with_capacity(claim.len());
+        for plan in claim {
+            let reply: WorkerChunk = read_frame(&mut self.stdout)
+                .map_err(|e| format!("worker {wi}: {e}"))?
+                .ok_or_else(|| format!("worker {wi} died running chunk {}", plan.index))?;
+            chunks.push(reply.chunk);
+        }
         if metrics::enabled() {
             metrics::global()
                 .counter(&format!("serve.worker{wi}.frames"))
-                .add(2);
+                .add(1 + claim.len() as u64);
         }
-        Ok(reply.chunk)
+        Ok(chunks)
     }
 
     fn finish(self: Box<Self>) -> Result<(), String> {
@@ -154,7 +161,10 @@ impl Shard for Worker {
 }
 
 /// Worker-process entry point: speak the protocol on stdin/stdout until
-/// the parent closes stdin. Never touches the store.
+/// the parent closes stdin. Each task's claim is checked against the job
+/// before any trial runs (a claim this job's driver could not have sent
+/// is an error), computed in one executor call, and answered one chunk
+/// frame per plan. Never touches the store.
 pub fn worker_main() -> Result<(), String> {
     let mut stdin = BufReader::new(std::io::stdin());
     let mut stdout = BufWriter::new(std::io::stdout());
@@ -175,9 +185,12 @@ pub fn worker_main() -> Result<(), String> {
     while let Some(task) =
         read_frame::<WorkerTask, _>(&mut stdin).map_err(|e| format!("reading task: {e}"))?
     {
-        let chunk = run_chunk(&prepared, &factory, job, task.plan, spec.cfg.workers);
-        write_frame(&mut stdout, &WorkerChunk { chunk })
-            .map_err(|e| format!("sending chunk {}: {e}", task.plan.index))?;
+        check_claim(&spec, &task.plans).map_err(|e| format!("refusing task: {e}"))?;
+        for chunk in run_chunks(&prepared, &factory, job, &task.plans, spec.cfg.workers) {
+            let index = chunk.index;
+            write_frame(&mut stdout, &WorkerChunk { chunk })
+                .map_err(|e| format!("sending chunk {index}: {e}"))?;
+        }
     }
     Ok(())
 }

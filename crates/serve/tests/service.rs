@@ -566,6 +566,85 @@ fn resume_with_every_chunk_published_spawns_no_worker() {
     assert_eq!(object_and_ref_bytes(&dir), reference);
 }
 
+/// The sample count of histogram `name` in the metrics snapshot a submit
+/// wrote into `store`. Snapshots put one metric per line:
+/// `"name": {"type": "histogram", "count": N, ...}`.
+fn submit_histogram_count(store: &Path, name: &str) -> Option<u64> {
+    let body = std::fs::read_to_string(store.join("metrics").join("submit.json")).ok()?;
+    let key = format!("\"{name}\": {{\"type\": \"histogram\", \"count\": ");
+    let line = body.lines().find_map(|l| l.trim().strip_prefix(&key))?;
+    line.split(',').next()?.parse().ok()
+}
+
+/// A submit of 48 trials (24 per target) in six chunks of 8.
+fn submit_48(store: &Path, procs: usize) -> Output {
+    let mut cmd = submit_cmd(store);
+    cmd.args(["--trials", "24", "--chunk", "8"]);
+    if procs > 1 {
+        cmd.args(["--worker-procs", &procs.to_string()]);
+    }
+    cmd.output().expect("spawn sim-serve")
+}
+
+#[test]
+fn an_unsharded_submit_computes_its_chunks_in_one_executor_call() {
+    // Six chunks of 8 fit one 64-lane batch: the in-process stream holds
+    // them as one claim, so the executor runs once, not once per chunk,
+    // and the claim is timed once.
+    let dir = fresh_dir("one-claim");
+    let out = submit_48(&dir, 1);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("0 chunks resumed, 6 computed"), "{stderr}");
+    assert_eq!(
+        submit_histogram_count(&dir, "campaign.trial_phase_us"),
+        Some(1)
+    );
+    assert_eq!(
+        submit_histogram_count(&dir, "serve.worker.chunk_us"),
+        Some(1)
+    );
+    assert_eq!(submit_counters(&dir).get("campaign.trials"), Some(&48));
+    assert_eq!(
+        submit_counters(&dir).get("store.chunks_published"),
+        Some(&6)
+    );
+}
+
+#[test]
+fn a_sharded_job_hands_each_stream_one_claim() {
+    // Six chunks on two streams: claims of three chunks each. The worker
+    // gets one task and answers one frame per chunk, 1 + 3 frames; the
+    // parent runs its executor once. The bytes match the unsharded job's.
+    let alone = fresh_dir("claims-alone");
+    assert!(submit_48(&alone, 1).status.success());
+    let dir = fresh_dir("claims-sharded");
+    let out = submit_48(&dir, 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(result_bytes(&dir), result_bytes(&alone));
+    let counters = submit_counters(&dir);
+    let streams = 2.min(host_cores());
+    assert_eq!(spawns(&dir), streams as u64 - 1);
+    assert_eq!(
+        submit_histogram_count(&dir, "serve.worker.chunk_us"),
+        Some(streams as u64),
+        "one sample per claim"
+    );
+    assert_eq!(
+        submit_histogram_count(&dir, "campaign.trial_phase_us"),
+        Some(1),
+        "the parent's claim is one executor call"
+    );
+    if streams == 2 {
+        assert_eq!(
+            counters.get("serve.worker0.frames"),
+            Some(&4),
+            "{counters:?}"
+        );
+    }
+}
+
 /// The host's available parallelism, which caps `--worker-procs`.
 fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -875,5 +954,89 @@ fn a_resume_fails_closed_on_a_repointed_chunk_ref() {
                 "{tamper}, {procs} processes: no result may be published"
             );
         }
+    }
+}
+
+/// A `WorkerTask` frame as the parent writes it, built from raw
+/// `(index, start, len)` triples so a test can send plans no driver
+/// would.
+struct RawTask(Vec<[usize; 3]>);
+
+impl sim_store::Codec for RawTask {
+    const TAG: u16 = 101;
+    const NAME: &'static str = "WorkerTask";
+
+    fn encode_body(&self, e: &mut sim_store::Encoder) {
+        e.put_usize(self.0.len());
+        for plan in &self.0 {
+            plan.iter().for_each(|&v| e.put_usize(v));
+        }
+    }
+
+    fn decode_body(d: &mut sim_store::Decoder<'_>) -> Result<RawTask, sim_store::WireError> {
+        let n = d.get_usize()?;
+        let mut plans = Vec::new();
+        for _ in 0..n {
+            plans.push([d.get_usize()?, d.get_usize()?, d.get_usize()?]);
+        }
+        Ok(RawTask(plans))
+    }
+}
+
+/// Write `value` as one length-prefixed protocol frame.
+fn frame<T: sim_store::Codec>(out: &mut Vec<u8>, value: &T) {
+    let bytes = encode_record(value);
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(&bytes);
+}
+
+#[test]
+fn a_shard_worker_refuses_a_task_outside_its_job_plan() {
+    // 2 × 4 trials in chunks of 3 (plans 0..3 of 3, 3 and 2 trials), so
+    // one claim holds at most ⌊64 / 3⌋ = 21 chunks. A task the driver
+    // could not have sent ends the worker with an error before any trial
+    // runs; the out-of-range one used to panic inside the executor.
+    let budget = sim_pipeline::SimBudget::total_instructions(2_000).with_warmup(500);
+    let mut cfg = sim_inject::CampaignConfig::new(4, 9, budget);
+    cfg.targets = vec![
+        sim_pipeline::FaultTarget::Iq,
+        sim_pipeline::FaultTarget::RegFile,
+    ];
+    cfg.workers = 1;
+    let spec = sim_store::JobSpec {
+        name: "refuse".to_string(),
+        workload: "2T-MIX-A".to_string(),
+        cfg,
+        chunk_trials: 3,
+    };
+    for plans in [
+        vec![[0, usize::MAX - 1, 8]],
+        vec![[1, 4, 3]],
+        vec![[3, 9, 3]],
+        vec![[1, 3, 3], [0, 0, 3]],
+        vec![[0, 0, 3]; 22],
+        vec![],
+    ] {
+        let mut input = Vec::new();
+        frame(&mut input, &spec);
+        frame(&mut input, &RawTask(plans.clone()));
+        let mut child = Command::new(EXE)
+            .arg("worker")
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn sim-serve worker");
+        // The worker reads the whole task before it answers anything, so
+        // one write of both frames cannot block on its output.
+        use std::io::Write;
+        let mut stdin = child.stdin.take().unwrap();
+        stdin.write_all(&input).expect("send frames");
+        drop(stdin);
+        let out = child.wait_with_output().expect("worker exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{plans:?}: {stderr}");
+        assert!(stderr.contains("refusing task"), "{plans:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{plans:?}: {stderr}");
     }
 }

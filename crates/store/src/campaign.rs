@@ -30,10 +30,19 @@
 //!
 //! Every stored job runs through [`run_campaign_stored`], which owns the
 //! whole lifecycle and its one chunk loop. The parent is one of the job's
-//! compute streams: it computes chunks in this process with [`run_chunk`]
-//! on the campaign it prepared, next to any [`Shards`] (`sim-serve`
-//! worker processes) that greet the driver with their golden fingerprint
-//! and answer chunk plans. Every stream runs the same loop.
+//! compute streams: it computes chunks in this process with
+//! [`run_chunks`] on the campaign it prepared, next to any [`Shards`]
+//! (`sim-serve` worker processes) that greet the driver with their golden
+//! fingerprint and answer claims. Every stream runs the same loop.
+//!
+//! # Claims
+//!
+//! Chunks are the unit of publication and of resume, not of computation.
+//! The missing chunks are split into claims of consecutive chunks, each
+//! at most one lane batch of trials ([`claim_chunks`]), and a stream
+//! computes a whole claim in one executor call, so one golden follower
+//! walk carries the trials of several chunks. A crash loses at most the
+//! claim each stream holds.
 
 use crate::codec::Codec;
 use crate::record::{decode_record, encode_record, CodecError};
@@ -49,6 +58,7 @@ use sim_trace::metrics;
 use sim_workload::InstSource;
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -142,12 +152,79 @@ pub struct ChunkPlan {
 /// Split `total` trials into chunks of `chunk_trials` (the last chunk may
 /// be short). `chunk_trials` is clamped to at least 1.
 pub fn plan_chunks(total: usize, chunk_trials: usize) -> Vec<ChunkPlan> {
+    (0..total.div_ceil(chunk_trials.max(1)))
+        .filter_map(|index| plan_at(total, chunk_trials, index))
+        .collect()
+}
+
+/// Chunk `index` of [`plan_chunks`]`(total, chunk_trials)`, computed
+/// without building the plan; `None` past the last chunk.
+fn plan_at(total: usize, chunk_trials: usize, index: usize) -> Option<ChunkPlan> {
     let per = chunk_trials.max(1);
-    (0..total.div_ceil(per))
-        .map(|index| ChunkPlan {
-            index,
-            start: index * per,
-            len: per.min(total - index * per),
+    (index < total.div_ceil(per)).then(|| ChunkPlan {
+        index,
+        start: index * per,
+        len: per.min(total - index * per),
+    })
+}
+
+/// The most chunks one claim of `spec` holds: as many whole chunks as fit
+/// in one lane batch of its trial path, at least one, and exactly one off
+/// the batched path (the scalar oracles gain nothing from a shared walk).
+pub fn claim_chunks(spec: &JobSpec) -> usize {
+    spec.cfg
+        .path
+        .lanes()
+        .map_or(1, |lanes| (lanes / spec.chunk_trials.max(1)).max(1))
+}
+
+/// Fail unless `claim` is a claim a driver could hand a shard of `spec`:
+/// one to [`claim_chunks`] chunks of the job's plan, in ascending index
+/// order. A shard checks every claim it receives before computing it, so
+/// a corrupt or hostile task is an error, never a panic; the check sizes
+/// no allocation from the spec.
+pub fn check_claim(spec: &JobSpec, claim: &[ChunkPlan]) -> Result<(), String> {
+    let most = claim_chunks(spec);
+    if claim.is_empty() || claim.len() > most {
+        return Err(format!(
+            "a claim of {} chunks, where one holds 1 to {most}",
+            claim.len()
+        ));
+    }
+    let total = spec
+        .cfg
+        .targets
+        .len()
+        .checked_mul(spec.cfg.trials_per_structure)
+        .ok_or("the job's trial count overflows")?;
+    for &plan in claim {
+        if plan_at(total, spec.chunk_trials, plan.index) != Some(plan) {
+            return Err(format!(
+                "chunk {} [start {}, {} trials] is not in the job's plan",
+                plan.index, plan.start, plan.len
+            ));
+        }
+    }
+    if claim.windows(2).any(|w| w[0].index >= w[1].index) {
+        return Err("a claim's chunks must ascend".to_string());
+    }
+    Ok(())
+}
+
+/// Split `missing` into claims for `streams` compute streams: the fewest
+/// runs of consecutive chunks, with sizes differing by at most one, such
+/// that no claim exceeds `most` chunks and every stream gets at least
+/// one. Every claim thus holds at most `min(most, ⌈missing / streams⌉)`
+/// chunks.
+fn split_claims(missing: Vec<ChunkPlan>, most: usize, streams: usize) -> VecDeque<Vec<ChunkPlan>> {
+    let n = streams
+        .max(missing.len().div_ceil(most.max(1)))
+        .min(missing.len());
+    let mut rest = missing.into_iter();
+    (0..n)
+        .map(|k| {
+            let len = rest.len().div_ceil(n - k);
+            rest.by_ref().take(len).collect()
         })
         .collect()
 }
@@ -315,16 +392,17 @@ pub struct StoredOutcome {
     pub elapsed_secs: f64,
 }
 
-/// A worker that computes chunks of the job being run outside the
+/// A worker that computes claims of the job being run outside the
 /// parent's thread. It never touches the store: the parent, the single
 /// writer, checks and publishes every chunk it returns.
 pub trait Shard: Send {
-    /// The fingerprint of the golden state this shard rebuilt. No chunk is
+    /// The fingerprint of the golden state this shard rebuilt. No claim is
     /// handed out until it encodes exactly like the parent's own.
     fn greet(&mut self) -> Result<GoldenFingerprint, String>;
-    /// Compute chunk `plan`.
-    fn run(&mut self, plan: ChunkPlan) -> Result<ChunkRecord, String>;
-    /// Shut down cleanly once no chunk is left.
+    /// Compute every chunk of `claim` (ascending chunks of the job's plan,
+    /// at most [`claim_chunks`]) and return them in the claim's order.
+    fn run(&mut self, claim: &[ChunkPlan]) -> Result<Vec<ChunkRecord>, String>;
+    /// Shut down cleanly once no claim is left.
     fn finish(self: Box<Self>) -> Result<(), String>;
 }
 
@@ -456,37 +534,50 @@ where
 }
 
 /// The chunk loop of one compute stream: starting with `first`, then
-/// taking chunks off `queue` until it is empty, get each from `compute`
-/// (timed as `serve.worker.chunk_us`), check it against its plan, publish
-/// it, and fire the crash hook. On any failure the queue is emptied, so
-/// the other streams stop at their next chunk.
+/// taking claims off `queue` until it is empty, get each claim's chunks
+/// from `compute` in one call (timed as `serve.worker.chunk_us`, one
+/// sample per claim), check every chunk against its plan, then publish
+/// them in index order, firing the crash hook after each. Nothing of a
+/// claim with one bad chunk is published. On any failure the queue is
+/// emptied, so the other streams stop at their next claim.
 fn publish_chunks(
     store: &Store,
     job: &ObjectId,
-    queue: &Mutex<VecDeque<ChunkPlan>>,
+    queue: &Mutex<VecDeque<Vec<ChunkPlan>>>,
     fresh: &AtomicUsize,
-    mut first: Option<ChunkPlan>,
-    mut compute: impl FnMut(ChunkPlan) -> Result<ChunkRecord, CampaignStoreError>,
+    mut first: Option<Vec<ChunkPlan>>,
+    mut compute: impl FnMut(&[ChunkPlan]) -> Result<Vec<ChunkRecord>, CampaignStoreError>,
 ) -> Result<(), CampaignStoreError> {
-    let mut publish = |plan: ChunkPlan| {
+    let mut publish = |claim: &[ChunkPlan]| {
         let t = metrics::enabled().then(Instant::now);
-        let chunk = compute(plan)?;
+        let chunks = compute(claim)?;
         if let Some(t) = t {
             metrics::global()
                 .histogram("serve.worker.chunk_us")
                 .observe(metrics::micros_since(t));
         }
-        check_chunk(&chunk, job, plan)?;
-        store_chunk(store, &chunk)?;
-        maybe_crash_after(fresh.fetch_add(1, Ordering::Relaxed) + 1);
+        if chunks.len() != claim.len() {
+            return Err(CampaignStoreError::Diverged(format!(
+                "a claim of {} chunks came back with {}",
+                claim.len(),
+                chunks.len()
+            )));
+        }
+        for (chunk, &plan) in chunks.iter().zip(claim) {
+            check_chunk(chunk, job, plan)?;
+        }
+        for chunk in &chunks {
+            store_chunk(store, chunk)?;
+            maybe_crash_after(fresh.fetch_add(1, Ordering::Relaxed) + 1);
+        }
         Ok(())
     };
-    while let Some(plan) = first
+    while let Some(claim) = first
         .take()
-        .or_else(|| queue.lock().expect("chunk queue").pop_front())
+        .or_else(|| queue.lock().expect("claim queue").pop_front())
     {
-        if let Err(e) = publish(plan) {
-            queue.lock().expect("chunk queue").clear();
+        if let Err(e) = publish(&claim) {
+            queue.lock().expect("claim queue").clear();
             return Err(e);
         }
     }
@@ -522,12 +613,15 @@ fn finished(
 /// (DESIGN.md §5h, "Job timeline"). Returns the published result if there
 /// is one, checked before and again under the writer lock; otherwise scans
 /// the published chunks, starts `min(P, missing) − 1` shards before the
-/// parent's golden pass, prepares and fingerprints the campaign, checks
-/// every shard's greeting against it (accepting a greeting assigns the
-/// shard its first chunk), runs one chunk loop per compute stream, the
-/// parent's included, and assembles the result from the store. Any
-/// failure fails the job closed and drops every started shard; a rerun
-/// after any interruption produces byte-identical records.
+/// parent's golden pass, splits the missing chunks into claims of
+/// consecutive chunks (at most [`claim_chunks`] each, at least one per
+/// stream), prepares and fingerprints the campaign, checks every shard's
+/// greeting against it (accepting a greeting assigns the shard its first
+/// claim; the parent then takes its own), runs one chunk loop per compute
+/// stream, the parent's included, and assembles the result from the
+/// store. Any failure fails the job closed and drops every started shard;
+/// a rerun after any interruption produces byte-identical records, having
+/// lost at most the claim each stream held.
 pub fn run_campaign_stored<S, F>(
     store: &Store,
     spec: &JobSpec,
@@ -549,10 +643,10 @@ where
     if let Some(done) = load_result(store, &job)? {
         return finished(store, job, plans.len(), done, started);
     }
-    let mut missing = VecDeque::new();
+    let mut missing = Vec::new();
     for &plan in &plans {
         if load_chunk(store, &job, plan)?.is_none() {
-            missing.push_back(plan);
+            missing.push(plan);
         }
     }
     let computed_chunks = missing.len();
@@ -563,6 +657,7 @@ where
             spawned.push(spawn(i).map_err(CampaignStoreError::Shard)?);
         }
     }
+    let mut claims = split_claims(missing, claim_chunks(spec), spawned.len() + 1);
 
     let (prepared, expected) = prepare_stored(store, spec, factory)?;
     let mut greeted = Vec::with_capacity(spawned.len());
@@ -574,27 +669,28 @@ where
                  refusing to shard across divergent machines"
             )));
         }
-        // Fewer shards than missing chunks: each gets one, the parent keeps
-        // at least one.
-        let first = missing.pop_front().expect("a chunk per started shard");
+        // At least one claim per stream: each shard gets one, and so does
+        // the parent, before any stream starts.
+        let first = claims.pop_front().expect("a claim per started shard");
         greeted.push((shard, first));
     }
-    let queue = &Mutex::new(missing);
+    let parent_first = claims.pop_front();
+    let queue = &Mutex::new(claims);
     let fresh = &AtomicUsize::new(0);
     std::thread::scope(|scope| {
         let streams: Vec<_> = greeted
             .into_iter()
             .map(|(mut shard, first)| {
                 scope.spawn(move || {
-                    publish_chunks(store, &job, queue, fresh, Some(first), |plan| {
-                        shard.run(plan).map_err(CampaignStoreError::Shard)
+                    publish_chunks(store, &job, queue, fresh, Some(first), |claim| {
+                        shard.run(claim).map_err(CampaignStoreError::Shard)
                     })?;
                     shard.finish().map_err(CampaignStoreError::Shard)
                 })
             })
             .collect();
-        let parent = publish_chunks(store, &job, queue, fresh, None, |plan| {
-            Ok(run_chunk(&prepared, factory, job, plan, spec.cfg.workers))
+        let parent = publish_chunks(store, &job, queue, fresh, parent_first, |claim| {
+            Ok(run_chunks(&prepared, factory, job, claim, spec.cfg.workers))
         });
         streams
             .into_iter()
@@ -615,21 +711,24 @@ where
     })
 }
 
-/// Execute chunk `plan` of `job` on `workers` threads (at most the
-/// host's available parallelism); records come back in trial-index order
-/// regardless of scheduling. Runs the prepared campaign's
-/// [`CampaignConfig::path`] — every trial path changes only wall clock,
-/// never the records, so stored chunks (and the object ids derived from
-/// them) are byte-identical for any lane count.
+/// Execute the chunks `plans` of `job` (ascending, as a claim holds them)
+/// in one [`sim_inject::run_trials`] call on `workers` threads (at most
+/// the host's available parallelism), so their trials share lane batches
+/// and follower walks. Returns one record per plan, in the plans' order,
+/// each holding its trials in index order regardless of scheduling. Runs
+/// the prepared campaign's [`CampaignConfig::path`] — every trial path,
+/// and every split of a job into claims, changes only wall clock, never
+/// the records, so stored chunks (and the object ids derived from them)
+/// are byte-identical for any lane count and any claim.
 ///
 /// [`CampaignConfig::path`]: sim_inject::CampaignConfig::path
-pub fn run_chunk<S, F>(
+pub fn run_chunks<S, F>(
     prepared: &PreparedCampaign<S>,
     factory: &F,
     job: ObjectId,
-    plan: ChunkPlan,
+    plans: &[ChunkPlan],
     workers: usize,
-) -> ChunkRecord
+) -> Vec<ChunkRecord>
 where
     S: InstSource + Clone + Sync,
     F: Fn() -> SmtCore<S> + Sync,
@@ -638,20 +737,20 @@ where
     // parallelism: a job file must not size a thread pool. Records are
     // worker-count-invariant, so only wall clock changes.
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let execs = sim_inject::run_trials_batched_full(
-        prepared,
-        factory,
-        plan.start,
-        plan.len,
-        workers.min(host),
-    )
-    .0;
-    ChunkRecord {
-        job,
-        index: plan.index,
-        start: plan.start,
-        records: execs.into_iter().map(|exec| exec.record).collect(),
-    }
+    let ranges: Vec<Range<usize>> = plans.iter().map(|p| p.start..p.start + p.len).collect();
+    let mut records = sim_inject::run_trials(prepared, factory, &ranges, workers.min(host))
+        .0
+        .into_iter()
+        .map(|exec| exec.record);
+    plans
+        .iter()
+        .map(|plan| ChunkRecord {
+            job,
+            index: plan.index,
+            start: plan.start,
+            records: records.by_ref().take(plan.len).collect(),
+        })
+        .collect()
 }
 
 /// Reload every chunk of `plans` from the store — assembly runs over the
@@ -705,6 +804,80 @@ pub fn load_result(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn plan(index: usize, per: usize) -> ChunkPlan {
+        ChunkPlan {
+            index,
+            start: index * per,
+            len: per,
+        }
+    }
+
+    #[test]
+    fn claims_are_consecutive_balanced_and_one_per_stream_at_least() {
+        let sizes = |missing: usize, most: usize, streams: usize| -> Vec<usize> {
+            let plans: Vec<ChunkPlan> = (0..missing).map(|i| plan(i, 8)).collect();
+            let claims = split_claims(plans.clone(), most, streams);
+            let flat: Vec<ChunkPlan> = claims.iter().flatten().copied().collect();
+            assert_eq!(flat, plans, "claims tile the missing chunks in order");
+            claims.iter().map(Vec::len).collect()
+        };
+        assert_eq!(sizes(6, 8, 1), [6]);
+        assert_eq!(sizes(6, 8, 2), [3, 3]);
+        assert_eq!(sizes(5, 8, 2), [3, 2]);
+        assert_eq!(sizes(5, 8, 4), [2, 1, 1, 1]);
+        assert_eq!(sizes(10, 4, 2), [4, 3, 3]);
+        assert_eq!(sizes(3, 1, 2), [1, 1, 1]);
+        assert_eq!(sizes(0, 8, 2), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_claim_holds_ascending_planned_chunks_up_to_one_lane_batch() {
+        let budget = sim_pipeline::SimBudget::total_instructions(100);
+        let mut cfg = CampaignConfig::new(10, 1, budget);
+        cfg.targets.truncate(2);
+        let mut spec = JobSpec {
+            name: "claims".to_string(),
+            workload: "w".to_string(),
+            cfg,
+            chunk_trials: 3,
+        };
+        // 20 trials in chunks of 3: six of 3, then one of 2.
+        assert_eq!(claim_chunks(&spec), 21);
+        let last = ChunkPlan {
+            index: 6,
+            start: 18,
+            len: 2,
+        };
+        assert_eq!(check_claim(&spec, &[plan(0, 3), plan(2, 3), last]), Ok(()));
+        for bad in [
+            vec![],
+            vec![plan(2, 3), plan(1, 3)],
+            vec![plan(1, 3), plan(1, 3)],
+            vec![plan(6, 3)],
+            vec![plan(7, 3)],
+            vec![ChunkPlan {
+                index: usize::MAX,
+                start: usize::MAX,
+                len: usize::MAX,
+            }],
+        ] {
+            assert!(check_claim(&spec, &bad).is_err(), "{bad:?}");
+        }
+        spec.chunk_trials = 32;
+        assert_eq!(claim_chunks(&spec), 2);
+        spec.chunk_trials = 100;
+        assert_eq!(claim_chunks(&spec), 1, "at least one chunk per claim");
+        spec.cfg.path = sim_inject::TrialPath::Scalar;
+        spec.chunk_trials = 1;
+        assert_eq!(
+            claim_chunks(&spec),
+            1,
+            "the scalar oracle claims chunks singly"
+        );
+        let two = [plan(0, 1), plan(1, 1)];
+        assert!(check_claim(&spec, &two).is_err());
+    }
 
     #[test]
     fn chunk_plans_tile_the_trial_space() {

@@ -27,8 +27,9 @@ pub mod store;
 pub mod wire;
 
 pub use campaign::{
-    load_result, plan_chunks, run_campaign_stored, run_chunk, CampaignStoreError, ChunkPlan,
-    ChunkRecord, JobResultRecord, JobSpec, Shard, Shards, StoredOutcome, DEFAULT_CHUNK_TRIALS,
+    check_claim, claim_chunks, load_result, plan_chunks, run_campaign_stored, run_chunks,
+    CampaignStoreError, ChunkPlan, ChunkRecord, JobResultRecord, JobSpec, Shard, Shards,
+    StoredOutcome, DEFAULT_CHUNK_TRIALS,
 };
 pub use codec::{fsck_decode, Codec};
 pub use record::{decode_record, encode_record, fnv1a64, CodecError, FORMAT_VERSION, MAGIC};

@@ -1,10 +1,10 @@
 //! A decoded job spec's worker count never sizes a thread pool past the
-//! host: `run_chunk` clamps it, and the records do not depend on it.
+//! host: `run_chunks` clamps it, and the records do not depend on it.
 
 use sim_inject::{CampaignConfig, PreparedCampaign, TrialPath};
 use sim_model::MachineConfig;
 use sim_pipeline::{FaultTarget, SimBudget, SmtCore};
-use sim_store::{run_chunk, ChunkPlan, ObjectId};
+use sim_store::{run_chunks, ChunkPlan, ObjectId};
 use sim_workload::{profile, TraceGenerator};
 
 fn factory() -> SmtCore {
@@ -33,9 +33,9 @@ fn hostile_worker_count_is_clamped_to_host_parallelism() {
     };
     assert_eq!(plan.len, 8);
     let job = ObjectId::of(b"chunk-workers");
-    let serial = run_chunk(&prepared, &factory, job, plan, 1);
+    let serial = run_chunks(&prepared, &factory, job, &[plan], 1);
     sim_trace::metrics::set_enabled(true);
-    let hostile = run_chunk(&prepared, &factory, job, plan, usize::MAX);
+    let hostile = run_chunks(&prepared, &factory, job, &[plan], usize::MAX);
     sim_trace::metrics::set_enabled(false);
     assert_eq!(hostile, serial, "records are worker-count-invariant");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -1,9 +1,9 @@
 //! The stored-job driver against fake in-memory shards, next to the
 //! parent's own compute stream: an honest shard publishes the bytes an
-//! unsharded run does, a reply for the wrong chunk slot fails the job
-//! before that reply or a result is published, and a shard whose greeting
-//! carries another golden fingerprint fails the job before any stream is
-//! handed a single chunk.
+//! unsharded run does and computes its one claim in one task, a reply for
+//! the wrong chunk slot fails the job before that reply or a result is
+//! published, and a shard whose greeting carries another golden
+//! fingerprint fails the job before any stream is handed a single claim.
 
 mod common;
 
@@ -13,13 +13,12 @@ use sim_model::MachineConfig;
 use sim_pipeline::{FaultTarget, SimBudget, SmtCore};
 use sim_store::campaign::result_ref;
 use sim_store::{
-    run_campaign_stored, run_chunk, CampaignStoreError, ChunkPlan, ChunkRecord, GoldenFingerprint,
+    run_campaign_stored, run_chunks, CampaignStoreError, ChunkPlan, ChunkRecord, GoldenFingerprint,
     JobSpec, Shard, Shards, Store,
 };
 use sim_workload::{profile, TraceGenerator};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn factory() -> SmtCore {
     let cfg = MachineConfig::ispass07_baseline().with_contexts(2);
@@ -33,15 +32,20 @@ fn factory() -> SmtCore {
 
 /// Eight trials in chunks of 3, 3 and 2.
 fn spec() -> JobSpec {
+    spec_of(4, 3)
+}
+
+/// `2 × trials` trials in chunks of `chunk_trials`.
+fn spec_of(trials: usize, chunk_trials: usize) -> JobSpec {
     let budget = SimBudget::total_instructions(2_500).with_warmup(1_000);
-    let mut cfg = CampaignConfig::new(4, 0x5EED, budget);
+    let mut cfg = CampaignConfig::new(trials, 0x5EED, budget);
     cfg.targets = vec![FaultTarget::Iq, FaultTarget::Rob];
     cfg.workers = 1;
     JobSpec {
         name: "fake-shards".to_string(),
         workload: "2T bzip2+mcf".to_string(),
         cfg,
-        chunk_trials: 3,
+        chunk_trials,
     }
 }
 
@@ -56,14 +60,14 @@ enum Fault {
     WrongGreeting,
 }
 
-/// A shard computing chunks on the calling thread from a shared prepared
-/// campaign, lying in the way `fault` says. `tasks` counts the chunks
-/// every shard was asked for.
+/// A shard computing claims on the calling thread from a shared prepared
+/// campaign, lying in the way `fault` says. `tasks` holds the chunk count
+/// of every claim a shard was handed, in order.
 struct Fake {
     prepared: Arc<PreparedCampaign<TraceGenerator>>,
     spec: JobSpec,
     fault: Fault,
-    tasks: Arc<AtomicUsize>,
+    tasks: Arc<Mutex<Vec<usize>>>,
 }
 
 impl Shard for Fake {
@@ -75,13 +79,13 @@ impl Shard for Fake {
         Ok(fingerprint)
     }
 
-    fn run(&mut self, plan: ChunkPlan) -> Result<ChunkRecord, String> {
-        self.tasks.fetch_add(1, Ordering::Relaxed);
-        let mut chunk = run_chunk(&self.prepared, &factory, self.spec.id(), plan, 1);
+    fn run(&mut self, claim: &[ChunkPlan]) -> Result<Vec<ChunkRecord>, String> {
+        self.tasks.lock().unwrap().push(claim.len());
+        let mut chunks = run_chunks(&self.prepared, &factory, self.spec.id(), claim, 1);
         if self.fault == Fault::WrongSlot {
-            chunk.index += 1;
+            chunks[0].index += 1;
         }
-        Ok(chunk)
+        Ok(chunks)
     }
 
     fn finish(self: Box<Self>) -> Result<(), String> {
@@ -90,18 +94,30 @@ impl Shard for Fake {
 }
 
 /// Run the job into a fresh store on two compute streams: the parent and
-/// one fake shard.
+/// one fake shard. Returns the chunk count of every claim the shard was
+/// handed.
 fn run_sharded(
     tag: &str,
     fault: Fault,
 ) -> (
     TempStore,
     Result<sim_store::StoredOutcome, CampaignStoreError>,
-    usize,
+    Vec<usize>,
 ) {
-    let spec = spec();
+    run_spec_sharded(tag, fault, spec())
+}
+
+fn run_spec_sharded(
+    tag: &str,
+    fault: Fault,
+    spec: JobSpec,
+) -> (
+    TempStore,
+    Result<sim_store::StoredOutcome, CampaignStoreError>,
+    Vec<usize>,
+) {
     let prepared = Arc::new(PreparedCampaign::prepare(&factory, &spec.cfg).expect("prepares"));
-    let tasks = Arc::new(AtomicUsize::new(0));
+    let tasks = Arc::new(Mutex::new(Vec::new()));
     let spawn = |_| {
         Ok(Box::new(Fake {
             prepared: prepared.clone(),
@@ -116,7 +132,7 @@ fn run_sharded(
         spawn: &spawn,
     };
     let outcome = run_campaign_stored(&store, &spec, &factory, Some(shards));
-    let tasks = tasks.load(Ordering::Relaxed);
+    let tasks = tasks.lock().unwrap().clone();
     (store, outcome, tasks)
 }
 
@@ -153,9 +169,10 @@ fn an_honest_shard_publishes_the_unsharded_result_bytes() {
     let (local, alone) = unsharded("local");
     let (sharded, outcome, tasks) = run_sharded("honest", Fault::None);
     let outcome = outcome.expect("sharded run");
-    // Accepting the greeting assigned the shard its first chunk; how many
-    // more it claims next to the parent depends on scheduling.
-    assert!(tasks >= 1, "every started shard computes a chunk");
+    // Three chunks on two streams are claims of 2 and 1 chunks. Accepting
+    // the greeting assigned the shard the first, the parent took the
+    // second, and nothing was left to queue.
+    assert_eq!(tasks, [2], "one task carrying the shard's claim");
     assert_eq!(
         (
             outcome.resumed_chunks,
@@ -198,6 +215,26 @@ fn a_diverged_greeting_fails_before_any_task_is_sent() {
         }
         other => panic!("expected Diverged, got {other:?}"),
     }
-    assert_eq!(tasks, 0, "no chunk may reach a diverged shard");
+    assert!(tasks.is_empty(), "no claim may reach a diverged shard");
     assert_eq!(published(&store), (0, false));
+}
+
+#[test]
+fn a_shard_computes_its_share_of_the_chunks_in_one_task() {
+    // Six chunks of one trial on two streams: two claims of three. The
+    // shard is handed exactly one task carrying three plans, under any
+    // scheduling, because both streams hold their claim before either
+    // starts.
+    let spec = spec_of(3, 1);
+    let (store, outcome, tasks) = run_spec_sharded("one-walk", Fault::None, spec.clone());
+    let outcome = outcome.expect("sharded run");
+    assert_eq!(tasks, [3]);
+    assert_eq!((outcome.computed_chunks, outcome.computed_trials), (6, 6));
+    let alone = fresh_store("one-walk-local");
+    run_campaign_stored(&alone, &spec, &factory, None).expect("in-process run");
+    let bytes = |store: &Store| {
+        let id = store.get_ref(&result_ref(&spec.id())).unwrap().unwrap();
+        store.get(&id).unwrap()
+    };
+    assert_eq!(bytes(&store), bytes(&alone));
 }
